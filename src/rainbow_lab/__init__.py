@@ -40,6 +40,7 @@ from .errors import (
     ConstructionError,
     InputError,
     RainbowLabError,
+    SearchInconclusiveError,
     UnsupportedCaseError,
 )
 from .formulas import (
@@ -54,7 +55,6 @@ from .modcore import (
     CyclicInstance,
     Triple,
     divisibility_count,
-    enumerate_triples,
     generates_full_group,
     is_k_periodic_subset,
     is_prime,
@@ -67,7 +67,6 @@ from .modcore import (
 )
 from .results import Method, RbResult
 from .search import (
-    EnumerationStream,
     SearchConfig,
     SearchOutcome,
     enumerate_rainbow_free,

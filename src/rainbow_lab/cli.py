@@ -81,7 +81,7 @@ def cmd_rb(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
     if args.method in ("search", "both"):
-        search = rb_oracle(inst, SearchConfig(time_budget=args.budget_secs, parallel=args.parallel))
+        search = rb_oracle(inst, SearchConfig(time_budget=args.budget_secs))
         if not search.conclusive:
             print(
                 f"rb({args.n},{args.k}) >= {search.value} (search inconclusive: "
@@ -111,7 +111,7 @@ def cmd_rb(args) -> int:
     return EXIT_OK
 
 
-def _construct_witness(n: int, k: int, budget: float, parallel: bool):
+def _construct_witness(n: int, k: int, budget: float):
     """Pick the strongest applicable path: construction if one exists, else
     the search oracle's witness."""
     k_red = k % n if n > 1 else 0
@@ -122,16 +122,14 @@ def _construct_witness(n: int, k: int, budget: float, parallel: bool):
             return witness_general(n, k_red), "general-lift"
         except (UnsupportedCaseError, InputError):
             pass
-    outcome = max_rainbow_free_r(
-        CyclicInstance(n, k), SearchConfig(time_budget=budget, parallel=parallel)
-    )
+    outcome = max_rainbow_free_r(CyclicInstance(n, k), SearchConfig(time_budget=budget))
     name = "oracle-search" if outcome.exhausted else "oracle-search-partial"
     return outcome.witness, name
 
 
 def cmd_witness(args) -> int:
     try:
-        coloring, source = _construct_witness(args.n, args.k, args.budget_secs, args.parallel)
+        coloring, source = _construct_witness(args.n, args.k, args.budget_secs)
     except (InputError, RainbowLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -143,7 +141,12 @@ def cmd_witness(args) -> int:
     # re-verify through the same predicate the verifier uses
     rt = find_rainbow_triple(cert.coloring(), cert.k)
     if rt is not None:
-        raise RuntimeError(f"internal error: witness for ({args.n},{args.k}) has rainbow triple {rt}")
+        print(
+            f"internal error: witness for ({args.n},{args.k}) [{source}] has "
+            f"rainbow triple {tuple(rt)}; no certificate written",
+            file=sys.stderr,
+        )
+        return EXIT_RAINBOW
     try:
         write_certificate(args.out, cert)
     except OSError as exc:
@@ -211,7 +214,7 @@ def cmd_table(args) -> int:
             return EXIT_INPUT
         search = rb_oracle(
             CyclicInstance(n, args.k),
-            SearchConfig(time_budget=args.budget_secs, parallel=args.parallel),
+            SearchConfig(time_budget=args.budget_secs),
         )
         elapsed_ms = round(search.detail["elapsed"] * 1000)
         nodes = search.detail["nodes_explored"]
@@ -265,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help=f"search time budget in seconds (default 60; env {BUDGET_ENV_VAR} overrides)",
         )
-        p.add_argument("--parallel", action="store_true", help="parallelize the search frontier")
 
     p_rb = sub.add_parser("rb", help="compute rb(Z_n, k)")
     p_rb.add_argument("--n", type=int, required=True)

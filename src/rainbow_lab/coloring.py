@@ -12,7 +12,14 @@ from enum import Enum
 from typing import Optional
 
 from .errors import InputError
-from .modcore import CyclicInstance, Triple, is_prime, solutions_by_sum
+from .modcore import (
+    CyclicInstance,
+    Triple,
+    is_k_periodic_subset,
+    is_prime,
+    is_symmetric_subset,
+    solutions_by_sum,
+)
 
 Palette = frozenset[int]
 
@@ -196,17 +203,6 @@ class LMClassification:
     dilation: Optional[int] = None
 
 
-def _is_periodic(S: frozenset[int], gen: int, q: int) -> bool:
-    # internal variant: a set containing 0 simply is not <gen>-periodic
-    if 0 in S:
-        return False
-    return {(gen * x) % q for x in S} == S
-
-
-def _is_symmetric(S, q: int) -> bool:
-    return all((q - x) % q in S for x in S)
-
-
 def _cyclic_interval_start(S: frozenset[int], q: int) -> Optional[int]:
     """The start of S if S is a cyclic interval [s, s+|S|-1] mod q, else None."""
     starts = [x for x in S if (x - 1) % q not in S]
@@ -246,7 +242,7 @@ def classify_3coloring_LM(c: Coloring, k: int) -> LMClassification:
     for i, s in enumerate(classes):
         if s == {0}:
             others = [classes[j] for j in range(3) if j != i]
-            if all(_is_symmetric(o, q) and _is_periodic(o, k, q) for o in others):
+            if all(is_symmetric_subset(o, q) and is_k_periodic_subset(o, k, q) for o in others):
                 return LMClassification(LMCase.CASE1, 1)
 
     # cases 2(i)/(ii): a singleton class {x}, x != 0, dilated to {1};
@@ -267,7 +263,8 @@ def classify_3coloring_LM(c: Coloring, k: int) -> LMClassification:
             if k_is_2:
                 shifted = [frozenset((y - 1) % q for y in o) for o in others]
                 if all(
-                    _is_symmetric(o, q) and _is_periodic(o, 2, q) for o in shifted
+                    is_symmetric_subset(o, q) and is_k_periodic_subset(o, 2, q)
+                    for o in shifted
                 ):
                     return LMClassification(LMCase.CASE2I, a)
             # case 2(ii): k = -1, (X \ {-2}) + 2^-1 symmetric. The excluded
@@ -279,7 +276,7 @@ def classify_3coloring_LM(c: Coloring, k: int) -> LMClassification:
                     frozenset((y + inv2) % q for y in o if y != minus2)
                     for o in others
                 ]
-                if all(_is_symmetric(o, q) for o in shifted):
+                if all(is_symmetric_subset(o, q) for o in shifted):
                     return LMClassification(LMCase.CASE2II, a)
 
     # case 3: k = -1, all classes are difference-1 progressions chained as

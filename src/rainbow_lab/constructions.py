@@ -10,7 +10,7 @@ import json
 from importlib import resources
 
 from .coloring import Coloring, check_symmetry, is_rainbow_free
-from .errors import ConstructionError, InputError, UnsupportedCaseError
+from .errors import ConfigError, ConstructionError, InputError, UnsupportedCaseError
 from .formulas import rb_q_p
 from .modcore import is_prime, prime_factorize
 
@@ -124,27 +124,26 @@ def witness_q_p(q: int, p: int) -> Coloring:
 
 
 def _load_z9_witness() -> Coloring:
+    """The packaged maximum 3-coloring of Z_9 for k=3 (from the search oracle)."""
     try:
         raw = json.loads(
             resources.files("rainbow_lab").joinpath("data", _Z9_WITNESS_RESOURCE).read_text()
         )
-        return Coloring(raw["n"], tuple(raw["colors"]))
-    except (FileNotFoundError, KeyError, json.JSONDecodeError):
-        # source tree without the cached certificate: regenerate
-        from .modcore import CyclicInstance
-        from .search import SearchConfig, max_rainbow_free_r
-
-        outcome = max_rainbow_free_r(CyclicInstance(9, 3), SearchConfig(time_budget=60.0))
-        return outcome.witness
+        return Coloring(9, tuple(raw["colors"]))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"packaged Z_9 witness data/{_Z9_WITNESS_RESOURCE} is missing or "
+            f"malformed: {exc!r}"
+        ) from exc
 
 
 def witness_prime_power(p: int, alpha: int) -> Coloring:
     """Maximum coloring of Z_{p^alpha} for k=p.
 
     p >= 5: color residue classes R_i and R_{p-i} mod p alike, (p+1)/2 colors.
-    p = 3, alpha = 1: the 2-coloring [0, 1, 1]. p = 3, alpha >= 2: repeat a
-    cached maximum 3-coloring of Z_9 (obtained once from the search oracle)
-    through x mod 9.
+    p = 3, alpha = 1: the 2-coloring [0, 1, 1]. p = 3, alpha >= 2: repeat the
+    packaged maximum 3-coloring of Z_9 (obtained once from the search oracle)
+    through x mod 9; ConfigError if that data file is missing or malformed.
     """
     if p == 2:
         raise UnsupportedCaseError("k = 2 witnesses are outside the constructions")

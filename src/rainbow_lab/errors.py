@@ -21,6 +21,13 @@ class ConfigError(RainbowLabError):
     """A required configuration artifact (e.g. the k=2 value table) is missing or invalid."""
 
 
+class SearchInconclusiveError(RainbowLabError):
+    """A search ran out of its time budget before covering its whole space.
+
+    What it produced so far is valid but incomplete; it is never a result.
+    """
+
+
 class ConstructionError(RainbowLabError):
     """A witness builder produced a coloring that failed its own verification.
 

@@ -12,10 +12,6 @@ from typing import Iterator, NamedTuple
 
 from .errors import InputError
 
-#: Above this modulus enumerate_triples returns a lazy iterator instead of a
-#: list (the triple count grows as n**2).
-TRIPLE_MATERIALIZE_CAP = 4096
-
 Factorization = list[tuple[int, int]]
 
 
@@ -97,16 +93,6 @@ def iter_triples(inst: CyclicInstance) -> Iterator[Triple]:
         for x2 in range(n):
             for x3 in sols[(x1 + x2) % n]:
                 yield Triple(x1, x2, x3)
-
-
-def enumerate_triples(inst: CyclicInstance, cap: int = TRIPLE_MATERIALIZE_CAP):
-    """Lexicographic triples of the instance.
-
-    Returns a materialized list for n <= cap and a streaming iterator above it.
-    """
-    if inst.n <= cap:
-        return list(iter_triples(inst))
-    return iter_triples(inst)
 
 
 def _check_residue(x: int, n: int, name: str) -> None:

@@ -8,15 +8,12 @@ time budget yields a first-class inconclusive outcome, never a guess.
 """
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .coloring import Coloring
-from .errors import InputError
+from .errors import InputError, SearchInconclusiveError
 from .modcore import CyclicInstance, iter_triples
 from .results import Method, RbResult
 
@@ -27,7 +24,6 @@ _BUDGET_CHECK_MASK = 0x1FFF  # check the clock every 8192 nodes
 class SearchConfig:
     time_budget: float = 60.0  # seconds
     max_r: Optional[int] = None
-    parallel: bool = False
 
     def __post_init__(self):
         if self.time_budget <= 0:
@@ -43,7 +39,6 @@ class SearchOutcome:
     exhausted: bool  # False only on budget exhaustion; r_max is then a lower bound
 
 
-@lru_cache(maxsize=64)
 def _triples_by_max(n: int, k: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """For each position x, the triples whose maximum coordinate is x."""
     by_max: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
@@ -67,50 +62,24 @@ def _iter_canonical(
     min_r: int = 1,
     max_r: Optional[int] = None,
     deadline: Optional[float] = None,
-    prefix: tuple[int, ...] = (),
     improving_only: bool = False,
-    stop_depth: Optional[int] = None,
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Backtracking core. Yields (r, colors) pairs in lexicographic order.
 
     Completed colorings are canonical, exact with r colors, and rainbow-free.
     With improving_only, yields only completions that beat the best r seen so
-    far. With stop_depth=d, yields rainbow-free canonical prefixes of length d
-    instead of completions (used to split a frontier across workers).
+    far.
     """
     if max_r is not None and max_r < 1:
         return
     colors = [-1] * n
     used_before = [0] * (n + 1)
     cand = [0] * n
-    start = len(prefix)
-    # seed and validate the prefix (restricted growth + no completed rainbow)
-    seen = 0
-    for pos, col in enumerate(prefix):
-        if col > seen:
-            return
-        colors[pos] = col
-        if col == seen:
-            seen += 1
-        used_before[pos + 1] = seen
-        if seen >= 3:
-            for a, b, c in by_max[pos]:
-                ca, cb, cc = colors[a], colors[b], colors[c]
-                if ca != cb and ca != cc and cb != cc:
-                    return
-    if max_r is not None and seen > max_r:
-        return
     best = 0
-    if start == n:
-        r = used_before[n]
-        if r >= min_r and (max_r is None or r <= max_r):
-            yield r, tuple(colors)
-        return
-    nodes = status.nodes
-    pos = start
-    cand[pos] = 0
+    nodes = 0
+    pos = 0
     last = n - 1
-    while pos >= start:
+    while pos >= 0:
         u = used_before[pos]
         col = cand[pos]
         limit = u if (max_r is None or u < max_r) else u - 1
@@ -137,9 +106,6 @@ def _iter_canonical(
                     break
             if rainbow:
                 continue
-        if stop_depth is not None and pos == stop_depth - 1:
-            yield nu, tuple(colors[:stop_depth])
-            continue
         if pos == last:
             if nu >= min_r:
                 if improving_only:
@@ -155,21 +121,6 @@ def _iter_canonical(
     status.nodes += nodes
 
 
-def _search_subtree(args) -> tuple[int, Optional[tuple[int, ...]], int, bool]:
-    """Worker entry point: best completion below one frontier prefix."""
-    n, k, prefix, max_r, budget = args
-    status = _Status()
-    deadline = time.monotonic() + budget
-    by_max = _triples_by_max(n, k)
-    best_r, best_colors = 0, None
-    for r, cols in _iter_canonical(
-        n, by_max, status, max_r=max_r, deadline=deadline,
-        prefix=prefix, improving_only=True,
-    ):
-        best_r, best_colors = r, cols
-    return best_r, best_colors, status.nodes, status.exhausted
-
-
 def max_rainbow_free_r(inst: CyclicInstance, cfg: Optional[SearchConfig] = None) -> SearchOutcome:
     """Largest r admitting a rainbow-free exact r-coloring of the instance.
 
@@ -181,8 +132,6 @@ def max_rainbow_free_r(inst: CyclicInstance, cfg: Optional[SearchConfig] = None)
     n, k = inst.n, inst.k
     start = time.monotonic()
     by_max = _triples_by_max(n, k)
-    if cfg.parallel and n >= 8:
-        return _max_parallel(inst, cfg, start)
     status = _Status()
     deadline = start + cfg.time_budget
     best_r, best_colors = 0, None
@@ -197,45 +146,6 @@ def max_rainbow_free_r(inst: CyclicInstance, cfg: Optional[SearchConfig] = None)
         nodes_explored=status.nodes,
         elapsed=time.monotonic() - start,
         exhausted=status.exhausted,
-    )
-
-
-def _max_parallel(inst: CyclicInstance, cfg: SearchConfig, start: float) -> SearchOutcome:
-    """Split the canonical-prefix frontier across worker processes.
-
-    Workers share only the read-only triple index (rebuilt per process); the
-    merge is associative, so r_max, exhausted, and the witness match the
-    serial result while nodes_explored may differ.
-    """
-    n, k = inst.n, inst.k
-    by_max = _triples_by_max(n, k)
-    depth = min(n - 1, 10)
-    status = _Status()
-    frontier = [
-        prefix for _, prefix in _iter_canonical(n, by_max, status, stop_depth=depth)
-    ]
-    budget = max(0.001, cfg.time_budget - (time.monotonic() - start))
-    tasks = [(n, k, prefix, cfg.max_r, budget) for prefix in frontier]
-    best_r, best_colors = 0, None
-    nodes = status.nodes
-    exhausted = status.exhausted
-    with ProcessPoolExecutor(max_workers=os.cpu_count()) as pool:
-        for r, cols, sub_nodes, sub_exhausted in pool.map(
-            _search_subtree, tasks, chunksize=max(1, len(tasks) // (4 * (os.cpu_count() or 1)))
-        ):
-            nodes += sub_nodes
-            exhausted = exhausted and sub_exhausted
-            if cols is not None and (
-                r > best_r or (r == best_r and (best_colors is None or cols < best_colors))
-            ):
-                best_r, best_colors = r, cols
-    witness = Coloring(n, best_colors) if best_colors is not None else None
-    return SearchOutcome(
-        r_max=best_r,
-        witness=witness,
-        nodes_explored=nodes,
-        elapsed=time.monotonic() - start,
-        exhausted=exhausted,
     )
 
 
@@ -263,40 +173,15 @@ def rb_oracle(inst: CyclicInstance, cfg: Optional[SearchConfig] = None) -> RbRes
     )
 
 
-class EnumerationStream:
-    """Iterator over canonical exact rainbow-free r-colorings, lex order.
-
-    If the time budget runs out the stream simply stops early and `partial`
-    flips to True.
-    """
-
-    def __init__(self, inst: CyclicInstance, r: int, cfg: SearchConfig):
-        self._gen = self._run(inst, r, cfg)
-        self.partial = False
-        self.nodes_explored = 0
-
-    def _run(self, inst, r, cfg):
-        status = _Status()
-        deadline = time.monotonic() + cfg.time_budget
-        by_max = _triples_by_max(inst.n, inst.k)
-        for rr, cols in _iter_canonical(
-            inst.n, by_max, status, min_r=r, max_r=r, deadline=deadline
-        ):
-            yield Coloring(inst.n, cols)
-        self.partial = not status.exhausted
-        self.nodes_explored = status.nodes
-
-    def __iter__(self):
-        return self._gen
-
-
 def enumerate_rainbow_free(
     inst: CyclicInstance, r: int, cfg: Optional[SearchConfig] = None
-) -> EnumerationStream:
-    """Every canonical exact rainbow-free r-coloring, each exactly once."""
+) -> Iterator[Coloring]:
+    """Every canonical exact rainbow-free r-coloring, each exactly once, in
+    lexicographic order. Raises SearchInconclusiveError as
+    iter_rainbow_free_colorings does."""
     if not 1 <= r <= inst.n:
         raise InputError(f"r={r} out of range [1, {inst.n}]")
-    return EnumerationStream(inst, r, cfg or SearchConfig())
+    return iter_rainbow_free_colorings(inst, r, r, cfg)
 
 
 def iter_rainbow_free_colorings(
@@ -305,10 +190,11 @@ def iter_rainbow_free_colorings(
     max_r: Optional[int] = None,
     cfg: Optional[SearchConfig] = None,
 ) -> Iterator[Coloring]:
-    """All canonical rainbow-free colorings with min_r <= r <= max_r, one pass.
+    """All canonical rainbow-free colorings with min_r <= r <= max_r, one pass,
+    in lexicographic order.
 
-    Convenience for the property suites; a single traversal is much cheaper
-    than one enumerate_rainbow_free call per r.
+    If the time budget runs out, SearchInconclusiveError is raised after the
+    colorings found so far.
     """
     cfg = cfg or SearchConfig()
     status = _Status()
@@ -318,3 +204,8 @@ def iter_rainbow_free_colorings(
         inst.n, by_max, status, min_r=min_r, max_r=max_r, deadline=deadline
     ):
         yield Coloring(inst.n, cols)
+    if not status.exhausted:
+        raise SearchInconclusiveError(
+            f"enumeration of Z_{inst.n}, k={inst.k} ran out of its "
+            f"{cfg.time_budget}s budget after {status.nodes} nodes"
+        )

@@ -6,6 +6,7 @@ import pytest
 
 from rainbow_lab import cli
 from rainbow_lab.certificates import read_certificate
+from rainbow_lab.coloring import Coloring
 
 
 def run(capsys, *argv):
@@ -84,6 +85,18 @@ class TestWitnessAndVerify:
         code, out, _ = run(capsys, "witness", "--n", "10", "--k", "4", "--out", str(path))
         assert code == cli.EXIT_OK
         assert "oracle-search" in out
+
+    def test_witness_with_rainbow_triple_is_reported(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            cli, "_construct_witness",
+            lambda n, k, budget: (Coloring(5, (0, 1, 2, 2, 3)), "broken"),
+        )
+        path = tmp_path / "w.json"
+        code, out, err = run(capsys, "witness", "--n", "5", "--k", "1", "--out", str(path))
+        assert code == cli.EXIT_RAINBOW
+        assert err.startswith("internal error:")
+        assert "(1, 3, 4)" in err
+        assert not path.exists()
 
     def test_verify_reports_rainbow_triple(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

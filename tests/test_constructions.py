@@ -14,7 +14,8 @@ from rainbow_lab.constructions import (
     witness_schur,
     witness_schur_prime,
 )
-from rainbow_lab.errors import InputError, UnsupportedCaseError
+from rainbow_lab import constructions
+from rainbow_lab.errors import ConfigError, InputError, UnsupportedCaseError
 from rainbow_lab.formulas import rb_general, rb_q_p, rb_schur, rb_schur_prime
 from rainbow_lab.modcore import CyclicInstance
 from rainbow_lab.search import SearchConfig, iter_rainbow_free_colorings, max_rainbow_free_r
@@ -171,6 +172,11 @@ class TestZ9Certificate:
             CyclicInstance(9, 3), SearchConfig(time_budget=60.0)
         ).witness
         assert cached == regenerated
+
+    def test_missing_data_raises_config_error(self, monkeypatch):
+        monkeypatch.setattr(constructions, "_Z9_WITNESS_RESOURCE", "no_such_witness.json")
+        with pytest.raises(ConfigError):
+            witness_prime_power(3, 2)
 
 
 class TestLiftGeneral:

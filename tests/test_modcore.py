@@ -5,7 +5,6 @@ from rainbow_lab.modcore import (
     CyclicInstance,
     Triple,
     divisibility_count,
-    enumerate_triples,
     generates_full_group,
     is_k_periodic_subset,
     is_prime,
@@ -46,24 +45,15 @@ class TestPrimes:
 
 class TestTriples:
     def test_z2_contains_self_inverse_triple(self):
-        assert Triple(1, 1, 0) in enumerate_triples(CyclicInstance(2, 1))
+        assert Triple(1, 1, 0) in list(iter_triples(CyclicInstance(2, 1)))
 
     def test_counts_are_n_squared(self):
-        assert len(enumerate_triples(CyclicInstance(5, 1))) == 25
-        assert len(enumerate_triples(CyclicInstance(6, 2))) == 36
+        assert len(list(iter_triples(CyclicInstance(5, 1)))) == 25
+        assert len(list(iter_triples(CyclicInstance(6, 2)))) == 36
 
     def test_lexicographic_order(self):
-        triples = enumerate_triples(CyclicInstance(7, 3))
+        triples = list(iter_triples(CyclicInstance(7, 3)))
         assert triples == sorted(triples)
-
-    def test_cap_switches_to_iterator(self):
-        small = enumerate_triples(CyclicInstance(6, 1), cap=5)
-        assert not isinstance(small, list)
-        assert sorted(small) == enumerate_triples(CyclicInstance(6, 1))
-
-    def test_iter_matches_list(self):
-        inst = CyclicInstance(9, 3)
-        assert list(iter_triples(inst)) == enumerate_triples(inst)
 
     def test_is_triple(self):
         inst = CyclicInstance(5, 1)

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import brute_rainbow_free, canonical_colorings
 from rainbow_lab.coloring import is_canonical, is_rainbow_free
-from rainbow_lab.errors import InputError
+from rainbow_lab.errors import InputError, SearchInconclusiveError
 from rainbow_lab.modcore import CyclicInstance
 from rainbow_lab.search import (
     SearchConfig,
@@ -46,16 +46,6 @@ class TestMaxRainbowFreeR:
             b.nodes_explored,
             b.exhausted,
         )
-
-    def test_parallel_matches_serial(self):
-        for n, k in ((10, 1), (12, 1), (9, 3)):
-            serial = max_rainbow_free_r(CyclicInstance(n, k))
-            parallel = max_rainbow_free_r(
-                CyclicInstance(n, k), SearchConfig(parallel=True)
-            )
-            assert parallel.r_max == serial.r_max
-            assert parallel.exhausted == serial.exhausted
-            assert parallel.witness == serial.witness
 
     def test_budget_exhaustion_is_inconclusive(self):
         out = max_rainbow_free_r(
@@ -113,12 +103,18 @@ class TestEnumerateRainbowFree:
         with pytest.raises(InputError):
             enumerate_rainbow_free(CyclicInstance(5, 1), 6)
 
-    def test_partial_flag_on_budget_exhaustion(self):
-        stream = enumerate_rainbow_free(
-            CyclicInstance(24, 1), 3, SearchConfig(time_budget=0.005)
-        )
-        list(stream)
-        assert stream.partial
+    @pytest.mark.parametrize(
+        "entry",
+        (
+            lambda inst, cfg: iter_rainbow_free_colorings(inst, 3, 3, cfg),
+            lambda inst, cfg: enumerate_rainbow_free(inst, 3, cfg),
+        ),
+        ids=("iter_rainbow_free_colorings", "enumerate_rainbow_free"),
+    )
+    def test_budget_exhaustion_raises(self, entry):
+        stream = entry(CyclicInstance(24, 1), SearchConfig(time_budget=0.005))
+        with pytest.raises(SearchInconclusiveError):
+            list(stream)
 
     def test_single_pass_matches_per_r_streams(self):
         inst = CyclicInstance(9, 3)
