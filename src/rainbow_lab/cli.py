@@ -113,7 +113,8 @@ def cmd_rb(args) -> int:
 
 def _construct_witness(n: int, k: int, budget: float):
     """Pick the strongest applicable path: construction if one exists, else
-    the search oracle's witness."""
+    the search oracle's witness, which is None if the budget ran out before
+    the search completed any coloring."""
     k_red = k % n if n > 1 else 0
     if n >= 2 and k_red == 1:
         return witness_schur(n), "schur-lift"
@@ -133,6 +134,14 @@ def cmd_witness(args) -> int:
     except (InputError, RainbowLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if coloring is None:
+        print(
+            f"error: no witness for ({args.n},{args.k}): the search budget of "
+            f"{args.budget_secs}s ran out before the first rainbow-free coloring; "
+            "no certificate written",
+            file=sys.stderr,
+        )
+        return EXIT_INCONCLUSIVE
     cert = make_certificate(
         coloring,
         args.k,

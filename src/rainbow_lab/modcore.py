@@ -6,6 +6,7 @@ All functions are pure and operate on small immutable values.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -72,8 +73,13 @@ def prime_factorize(n: int) -> Factorization:
     return factors
 
 
+@functools.lru_cache(maxsize=64)
 def solutions_by_sum(inst: CyclicInstance) -> tuple[tuple[int, ...], ...]:
-    """For each residue s, the increasing tuple of x3 with k*x3 = s (mod n)."""
+    """For each residue s, the increasing tuple of x3 with k*x3 = s (mod n).
+
+    O(n) in size. The last 64 tables are kept, so repeated rainbow checks and
+    searches on one instance share a single table.
+    """
     n, k = inst.n, inst.k
     sols: list[list[int]] = [[] for _ in range(n)]
     for x3 in range(n):

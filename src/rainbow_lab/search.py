@@ -1,10 +1,13 @@
 """Exhaustive, symmetry-reduced backtracking search over exact colorings.
 
 The ground-truth oracle for rb(Z_n, k): positions 0..n-1 are assigned color
-ids in restricted-growth (canonical) order, and any branch that completes a
-rainbow triple among the assigned positions is pruned via a per-position
-triple index. The search is exact when it runs to completion; running out of
-time budget yields a first-class inconclusive outcome, never a guess.
+ids in restricted-growth (canonical) order. A branch is pruned when it
+completes a rainbow triple among the assigned positions, or when forward
+checking shows it cannot reach the number of colors still of interest.
+Triples are solved per position from an O(n) table, so memory is O(n) and
+the time budget covers all of the work. The search is exact when it runs to
+completion; running out of time budget yields a first-class inconclusive
+outcome, never a guess.
 """
 from __future__ import annotations
 
@@ -14,10 +17,10 @@ from typing import Iterator, Optional
 
 from .coloring import Coloring
 from .errors import InputError, SearchInconclusiveError
-from .modcore import CyclicInstance, iter_triples
+from .modcore import CyclicInstance, solutions_by_sum
 from .results import Method, RbResult
 
-_BUDGET_CHECK_MASK = 0x1FFF  # check the clock every 8192 nodes
+_BUDGET_CHECK_WORK = 4096  # check the clock every 4096 partner visits
 
 
 @dataclass(frozen=True)
@@ -39,14 +42,6 @@ class SearchOutcome:
     exhausted: bool  # False only on budget exhaustion; r_max is then a lower bound
 
 
-def _triples_by_max(n: int, k: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """For each position x, the triples whose maximum coordinate is x."""
-    by_max: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for t in iter_triples(CyclicInstance(n, k)):
-        by_max[max(t)].append(tuple(t))
-    return tuple(tuple(ts) for ts in by_max)
-
-
 class _Status:
     __slots__ = ("nodes", "exhausted")
 
@@ -56,8 +51,7 @@ class _Status:
 
 
 def _iter_canonical(
-    n: int,
-    by_max,
+    inst: CyclicInstance,
     status: _Status,
     min_r: int = 1,
     max_r: Optional[int] = None,
@@ -69,55 +63,99 @@ def _iter_canonical(
     Completed colorings are canonical, exact with r colors, and rainbow-free.
     With improving_only, yields only completions that beat the best r seen so
     far.
+
+    A later position y is *blocked* once a triple {y, a, b} has two assigned,
+    differently colored members a and b: a new color at y would make it
+    rainbow. Blocked positions stay blocked deeper in the tree, so a subtree
+    whose used colors plus unblocked later positions cannot reach the needed
+    r is pruned (forward checking). Triples are solved per position from the
+    O(n) table solutions_by_sum; nothing O(n^2) is stored.
     """
+    n, k = inst.n, inst.k
     if max_r is not None and max_r < 1:
         return
+    sols = solutions_by_sum(inst)
     colors = [-1] * n
     used_before = [0] * (n + 1)
     cand = [0] * n
-    best = 0
+    # blocker[y]: shallowest depth whose assignment blocked y, n if unblocked.
+    # trail lists the positions blocked since the depth's mark, so each
+    # position sits on the trail at most once.
+    blocker = [n] * n
+    trail: list[int] = []
+    mark = [0] * n
+    free_before = [0] * n  # unblocked positions after pos, before assigning it
+    free_before[0] = n - 1
+    need = min_r  # completions must reach this many colors to be reported
     nodes = 0
+    work = 0  # partner visits, the unit of cost the budget is checked by
+    next_check = _BUDGET_CHECK_WORK
     pos = 0
     last = n - 1
     while pos >= 0:
+        m = mark[pos]
+        if len(trail) > m:
+            for y in trail[m:]:
+                blocker[y] = n
+            del trail[m:]
         u = used_before[pos]
         col = cand[pos]
-        limit = u if (max_r is None or u < max_r) else u - 1
+        limit = u if (max_r is None or u < max_r) and blocker[pos] == n else u - 1
         if col > limit:
             pos -= 1
             continue
         cand[pos] = col + 1
         nodes += 1
-        if deadline is not None and nodes & _BUDGET_CHECK_MASK == 0:
-            if time.monotonic() > deadline:
+        work += pos + 1
+        if work >= next_check:
+            next_check = work + _BUDGET_CHECK_WORK
+            if deadline is not None and time.monotonic() > deadline:
                 status.exhausted = False
                 break
         colors[pos] = col
         nu = u + 1 if col == u else u
-        # exactness reachability: need min_r colors by the end
-        if nu + (n - pos - 1) < min_r:
+        free = free_before[pos]
+        slack = need - nu  # prune once free < slack
+        if free < slack:
             continue
-        if nu >= 3:
-            rainbow = False
-            for a, b, c in by_max[pos]:
-                ca, cb, cc = colors[a], colors[b], colors[c]
-                if ca != cb and ca != cc and cb != cc:
-                    rainbow = True
+        if nu > 1:
+            # one pass over the differently colored partners a: a third
+            # coordinate y < pos closes a rainbow triple, y > pos gets blocked
+            kp = k * pos
+            pruned = False
+            for a in range(pos):
+                ca = colors[a]
+                if ca == col:
+                    continue
+                for y in sols[(pos + a) % n] + ((kp - a) % n, (k * a - pos) % n):
+                    if y < pos:
+                        cy = colors[y]
+                        if cy != col and cy != ca:
+                            pruned = True
+                            break
+                    elif y > pos and blocker[y] == n:
+                        blocker[y] = pos
+                        trail.append(y)
+                        free -= 1
+                        if free < slack:
+                            pruned = True
+                            break
+                if pruned:
                     break
-            if rainbow:
+            if pruned:
                 continue
         if pos == last:
-            if nu >= min_r:
-                if improving_only:
-                    if nu > best:
-                        best = nu
-                        yield nu, tuple(colors)
-                else:
-                    yield nu, tuple(colors)
+            yield nu, tuple(colors)
+            if improving_only:
+                need = nu + 1
+                if max_r is not None and need > max_r:
+                    break
             continue
         used_before[pos + 1] = nu
         pos += 1
         cand[pos] = 0
+        mark[pos] = len(trail)
+        free_before[pos] = free - (blocker[pos] == n)
     status.nodes += nodes
 
 
@@ -129,17 +167,15 @@ def max_rainbow_free_r(inst: CyclicInstance, cfg: Optional[SearchConfig] = None)
     lower bound.
     """
     cfg = cfg or SearchConfig()
-    n, k = inst.n, inst.k
     start = time.monotonic()
-    by_max = _triples_by_max(n, k)
     status = _Status()
     deadline = start + cfg.time_budget
     best_r, best_colors = 0, None
     for r, cols in _iter_canonical(
-        n, by_max, status, max_r=cfg.max_r, deadline=deadline, improving_only=True
+        inst, status, max_r=cfg.max_r, deadline=deadline, improving_only=True
     ):
         best_r, best_colors = r, cols
-    witness = Coloring(n, best_colors) if best_colors is not None else None
+    witness = Coloring(inst.n, best_colors) if best_colors is not None else None
     return SearchOutcome(
         r_max=best_r,
         witness=witness,
@@ -199,9 +235,8 @@ def iter_rainbow_free_colorings(
     cfg = cfg or SearchConfig()
     status = _Status()
     deadline = time.monotonic() + cfg.time_budget
-    by_max = _triples_by_max(inst.n, inst.k)
     for _, cols in _iter_canonical(
-        inst.n, by_max, status, min_r=min_r, max_r=max_r, deadline=deadline
+        inst, status, min_r=min_r, max_r=max_r, deadline=deadline
     ):
         yield Coloring(inst.n, cols)
     if not status.exhausted:

@@ -57,6 +57,49 @@ def brute_rainbow_free(colors, n, k):
     return True
 
 
+def reference_search(n, k, keep_min_r=None):
+    """Unbounded reference for the search kernel.
+
+    A plain restricted-growth DFS over the canonical colorings of Z_n that
+    prunes only where a rainbow triple closes. Triples come from nested loops
+    over Z_n^3, not from the package's index. Returns (r_max, the
+    lexicographically least canonical coloring with r_max colors, and, with
+    keep_min_r, every rainbow-free canonical coloring with at least
+    keep_min_r colors in lexicographic order).
+    """
+    closing = [set() for _ in range(n)]  # pairs {a, b} closing a triple at max(a, b, x)
+    for x1 in range(n):
+        for x2 in range(n):
+            for x3 in range(n):
+                if (x1 + x2 - k * x3) % n == 0 and len({x1, x2, x3}) == 3:
+                    a, b, top = sorted((x1, x2, x3))
+                    closing[top].add((a, b))
+    closing = [sorted(pairs) for pairs in closing]
+    colors = [0] * n
+    best = [0, None]
+    kept = []
+
+    def rec(pos, used):
+        for col in range(used + 1):
+            nu = used + 1 if col == used else used
+            if nu >= 3 and any(
+                colors[a] != colors[b] and col != colors[a] and col != colors[b]
+                for a, b in closing[pos]
+            ):
+                continue
+            colors[pos] = col
+            if pos < n - 1:
+                rec(pos + 1, nu)
+                continue
+            if nu > best[0]:
+                best[:] = nu, tuple(colors)
+            if keep_min_r is not None and nu >= keep_min_r:
+                kept.append(tuple(colors))
+
+    rec(0, 0)
+    return best[0], best[1], kept
+
+
 def has_singleton_class(coloring):
     sizes = [len(xs) for xs in coloring.color_classes().values()]
     return min(sizes) == 1

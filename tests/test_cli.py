@@ -86,6 +86,19 @@ class TestWitnessAndVerify:
         assert code == cli.EXIT_OK
         assert "oracle-search" in out
 
+    def test_witness_budget_out_before_any_coloring(self, capsys, tmp_path):
+        # k = 4 is composite, so only the oracle applies; half a millisecond
+        # ends its search long before it completes a coloring of Z_8000
+        path = tmp_path / "w.json"
+        code, out, err = run(
+            capsys, "witness", "--n", "8000", "--k", "4",
+            "--budget-secs", "0.0005", "--out", str(path),
+        )
+        assert code == cli.EXIT_INCONCLUSIVE
+        assert err.startswith("error: no witness")
+        assert out == ""
+        assert not path.exists()
+
     def test_witness_with_rainbow_triple_is_reported(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(
             cli, "_construct_witness",

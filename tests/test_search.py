@@ -1,6 +1,9 @@
+import time
+import tracemalloc
+
 import pytest
 
-from conftest import brute_rainbow_free, canonical_colorings
+from conftest import brute_rainbow_free, canonical_colorings, reference_search
 from rainbow_lab.coloring import is_canonical, is_rainbow_free
 from rainbow_lab.errors import InputError, SearchInconclusiveError
 from rainbow_lab.modcore import CyclicInstance
@@ -141,6 +144,45 @@ class TestBruteForceCrossCheck:
                 if brute_rainbow_free(cols, n, k)
             }
             assert found == expected, (n, k)
+
+
+class TestReferenceCrossCheck:
+    """The pruned kernel against the plain DFS of conftest.reference_search."""
+
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_kernel_matches_unbounded_reference(self, n):
+        for k in range(n):
+            inst = CyclicInstance(n, k)
+            r_max, witness, kept = reference_search(n, k, 3 if n <= 12 else None)
+            out = max_rainbow_free_r(inst)
+            assert out.exhausted, (n, k)
+            assert (out.r_max, out.witness.colors) == (r_max, witness), (n, k)
+            if n <= 12:
+                found = [c.colors for c in iter_rainbow_free_colorings(inst, min_r=3)]
+                assert found == kept, (n, k)
+
+
+class TestBudgetAndMemory:
+    """The budget covers all the work and memory stays O(n), at n near 2000."""
+
+    def test_budget_holds_at_large_n(self):
+        start = time.monotonic()
+        result = rb_oracle(CyclicInstance(2003, 1), SearchConfig(time_budget=0.2))
+        elapsed = time.monotonic() - start
+        assert not result.conclusive
+        assert elapsed < 1.0, f"0.2 s budget took {elapsed:.2f} s"
+
+    def test_memory_stays_linear_at_large_n(self):
+        # tracemalloc slows the kernel, so no wall-time bound here; a
+        # modulus of its own keeps the solution table inside the measurement
+        tracemalloc.start()
+        try:
+            result = rb_oracle(CyclicInstance(2011, 1), SearchConfig(time_budget=0.2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not result.conclusive
+        assert peak < 5 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 class TestMonotonicity:
