@@ -45,6 +45,7 @@ from .errors import (
 )
 from .formulas import (
     load_two_power_table,
+    rb_formula,
     rb_general,
     rb_prime_power,
     rb_q_p,
@@ -68,9 +69,7 @@ from .modcore import (
 from .results import Method, RbResult
 from .search import (
     SearchConfig,
-    SearchOutcome,
     enumerate_rainbow_free,
     iter_rainbow_free_colorings,
-    max_rainbow_free_r,
     rb_oracle,
 )

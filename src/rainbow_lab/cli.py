@@ -9,13 +9,11 @@ import argparse
 import csv
 import json
 import logging
-import os
 import sys
-from typing import Optional
 
 from . import __version__
 from .certificates import make_certificate, read_certificate, write_certificate
-from .coloring import Coloring, find_rainbow_triple, residue_palettes
+from .coloring import find_rainbow_triple, residue_palettes
 from .constructions import witness_general, witness_schur
 from .errors import (
     CertificateError,
@@ -24,10 +22,9 @@ from .errors import (
     RainbowLabError,
     UnsupportedCaseError,
 )
-from .formulas import load_two_power_table, rb_general, rb_schur
+from .formulas import load_two_power_table, rb_formula
 from .modcore import CyclicInstance, is_prime
-from .results import RbResult
-from .search import SearchConfig, max_rainbow_free_r, rb_oracle
+from .search import SearchConfig, rb_oracle
 
 EXIT_OK = 0
 EXIT_RAINBOW = 1
@@ -35,35 +32,9 @@ EXIT_INPUT = 2
 EXIT_MISMATCH = 3
 EXIT_INCONCLUSIVE = 4
 
-BUDGET_ENV_VAR = "RAINBOW_LAB_BUDGET_SECS"
 TABLE_COLUMNS = ["n", "k", "rb_formula", "rb_search", "agree", "elapsed_ms", "nodes"]
 
 log = logging.getLogger("rainbow_lab")
-
-
-def _default_budget() -> float:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is not None:
-        try:
-            return float(raw)
-        except ValueError:
-            log.warning("ignoring non-numeric %s=%r", BUDGET_ENV_VAR, raw)
-    return 60.0
-
-
-def _formula_rb(n: int, k: int, table_path: Optional[str]) -> RbResult:
-    """Formula path: k=1 uses the factorization formula, prime k the general
-    recursion. Anything else is out of formula scope."""
-    k_red = k % n if n > 1 else 0
-    if k_red == 1:
-        return rb_schur(n)
-    if is_prime(k_red):
-        table = load_two_power_table(table_path) if table_path else None
-        return rb_general(n, k_red, two_power_table=table)
-    raise UnsupportedCaseError(
-        f"no closed form for (n={n}, k={k}): the formulas cover k = 1 mod n "
-        "and prime k mod n only"
-    )
 
 
 def cmd_rb(args) -> int:
@@ -76,7 +47,10 @@ def cmd_rb(args) -> int:
     formula = search = None
     if args.method in ("formula", "both"):
         try:
-            formula = _formula_rb(args.n, args.k, args.two_power_table)
+            table = (
+                load_two_power_table(args.two_power_table) if args.two_power_table else None
+            )
+            formula = rb_formula(args.n, args.k, two_power_table=table)
         except (UnsupportedCaseError, ConfigError, InputError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
@@ -113,19 +87,18 @@ def cmd_rb(args) -> int:
 
 def _construct_witness(n: int, k: int, budget: float):
     """Pick the strongest applicable path: construction if one exists, else
-    the search oracle's witness, which is None if the budget ran out before
-    the search completed any coloring."""
-    k_red = k % n if n > 1 else 0
-    if n >= 2 and k_red == 1:
+    the search oracle's witness, which is None unless the search is
+    conclusive (only then is the witness a maximum coloring)."""
+    inst = CyclicInstance(n, k)
+    if n >= 2 and inst.k == 1:
         return witness_schur(n), "schur-lift"
-    if is_prime(k_red):
+    if is_prime(inst.k):
         try:
-            return witness_general(n, k_red), "general-lift"
+            return witness_general(n, inst.k), "general-lift"
         except (UnsupportedCaseError, InputError):
             pass
-    outcome = max_rainbow_free_r(CyclicInstance(n, k), SearchConfig(time_budget=budget))
-    name = "oracle-search" if outcome.exhausted else "oracle-search-partial"
-    return outcome.witness, name
+    result = rb_oracle(inst, SearchConfig(time_budget=budget))
+    return (result.witness if result.conclusive else None), "oracle-search"
 
 
 def cmd_witness(args) -> int:
@@ -137,8 +110,8 @@ def cmd_witness(args) -> int:
     if coloring is None:
         print(
             f"error: no witness for ({args.n},{args.k}): the search budget of "
-            f"{args.budget_secs}s ran out before the first rainbow-free coloring; "
-            "no certificate written",
+            f"{args.budget_secs}s ran out before the search proved a maximum "
+            "coloring; no certificate written",
             file=sys.stderr,
         )
         return EXIT_INCONCLUSIVE
@@ -211,14 +184,10 @@ def cmd_table(args) -> int:
         # per-row: a prime k may reduce mod n to 0 or a composite, where no
         # closed form applies; such rows are search-only with a blank formula
         try:
-            k_red = args.k % n
-            if k_red == 1:
-                formula_value = rb_schur(n).value
-            elif is_prime(k_red):
-                formula_value = rb_general(n, k_red, two_power_table=table).value
-            else:
-                formula_value = ""
-        except (ConfigError, UnsupportedCaseError) as exc:
+            formula_value = rb_formula(n, args.k, two_power_table=table).value
+        except UnsupportedCaseError:
+            formula_value = ""
+        except ConfigError as exc:
             print(f"error at n={n}: {exc}", file=sys.stderr)
             return EXIT_INPUT
         search = rb_oracle(
@@ -274,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget-secs",
             type=float,
-            default=None,
-            help=f"search time budget in seconds (default 60; env {BUDGET_ENV_VAR} overrides)",
+            default=60.0,
+            help="search time budget in seconds (default 60)",
         )
 
     p_rb = sub.add_parser("rb", help="compute rb(Z_n, k)")
@@ -318,8 +287,6 @@ def main(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(message)s",
     )
-    if getattr(args, "budget_secs", None) is None and hasattr(args, "budget_secs"):
-        args.budget_secs = _default_budget()
     try:
         return args.func(args)
     except InputError as exc:

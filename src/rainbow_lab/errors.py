@@ -12,8 +12,9 @@ class InputError(RainbowLabError, ValueError):
 class UnsupportedCaseError(RainbowLabError):
     """The requested value is outside the implemented formula range.
 
-    Raised for rb(Z_{2^a}, 2), which must come from an injected table (or the
-    small-exponent search fallback) rather than a closed form.
+    Raised by rb_formula for a coefficient that is neither 1 nor prime mod n,
+    and by rb_prime_power for p = 2: rb(Z_{2^a}, 2) has no closed form and
+    comes from a value table through rb_general.
     """
 
 

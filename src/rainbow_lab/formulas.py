@@ -2,9 +2,11 @@
 
 rb(Z_p, 1) for primes, the factorization formula for rb(Z_n, 1), rb(Z_q, p)
 for distinct primes via multiplicative orders, rb(Z_{p^a}, p) for odd p, and
-the general recursion for rb(Z_n, p). The k = 2 power-of-two cases are not
-covered by these formulas; they come from an injected value table or, for
-small exponents, from the search oracle.
+the general recursion for rb(Z_n, p), and rb_formula, which picks among them
+by the coefficient. The k = 2 power-of-two base rb(Z_{2^a}, 2) has no closed
+form; it comes from an injected value table or, for a <= 4, from a built-in
+one. This module never runs the search: the oracle checks these values, it
+does not supply them.
 """
 from __future__ import annotations
 
@@ -12,11 +14,12 @@ import json
 from typing import Mapping, Optional
 
 from .errors import ConfigError, InputError, UnsupportedCaseError
-from .modcore import is_prime, multiplicative_order, prime_factorize
+from .modcore import CyclicInstance, is_prime, multiplicative_order, prime_factorize
 from .results import Method, RbResult
 
-#: Largest exponent for which rb(Z_{2^a}, 2) may fall back to the oracle.
-TWO_POWER_ORACLE_MAX_ALPHA = 4
+# rb(Z_{2^a}, 2) for a = 1..4, the values the exhaustive oracle gives (each in
+# a few milliseconds; tests/test_formulas.py re-derives them).
+_TWO_POWER_RB = {1: 3, 2: 3, 3: 3, 4: 3}
 
 
 def rb_schur_prime(p: int) -> RbResult:
@@ -78,8 +81,8 @@ def rb_prime_power(p: int, alpha: int) -> RbResult:
     """
     if p == 2:
         raise UnsupportedCaseError(
-            "rb(Z_{2^a}, 2) is outside the closed forms; supply a value table "
-            "or use the oracle fallback"
+            "rb(Z_{2^a}, 2) is outside the closed forms; it comes from a value "
+            "table through rb_general"
         )
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
@@ -120,17 +123,11 @@ def load_two_power_table(path) -> dict[int, int]:
 def _rb_two_power(alpha: int, table: Optional[Mapping[int, int]]) -> int:
     if table is not None and alpha in table:
         return table[alpha]
-    if alpha <= TWO_POWER_ORACLE_MAX_ALPHA:
-        from .modcore import CyclicInstance
-        from .search import SearchConfig, rb_oracle
-
-        result = rb_oracle(CyclicInstance(2**alpha, 2), SearchConfig(time_budget=120.0))
-        if not result.conclusive:
-            raise ConfigError(f"oracle fallback for rb(Z_{2**alpha}, 2) ran out of budget")
-        return result.value
+    if alpha in _TWO_POWER_RB:
+        return _TWO_POWER_RB[alpha]
     raise ConfigError(
         f"rb(Z_{{2^{alpha}}}, 2) requires an injected value table "
-        f"(oracle fallback stops at alpha={TWO_POWER_ORACLE_MAX_ALPHA})"
+        f"(built-in values stop at alpha={max(_TWO_POWER_RB)})"
     )
 
 
@@ -169,4 +166,20 @@ def rb_general(
         value=base + value,
         method=Method.GENERAL_RECURSION,
         detail={"p": p, "alpha": alpha, "base": base, "terms": terms},
+    )
+
+
+def rb_formula(
+    n: int, k: int, two_power_table: Optional[Mapping[int, int]] = None
+) -> RbResult:
+    """rb(Z_n, k) from the closed forms: rb_schur when k = 1 mod n, rb_general
+    when k mod n is prime. Any other coefficient raises UnsupportedCaseError."""
+    k_red = CyclicInstance(n, k).k
+    if k_red == 1:
+        return rb_schur(n)
+    if is_prime(k_red):
+        return rb_general(n, k_red, two_power_table=two_power_table)
+    raise UnsupportedCaseError(
+        f"no closed form for (n={n}, k={k}): the formulas cover k = 1 mod n "
+        "and prime k mod n only"
     )

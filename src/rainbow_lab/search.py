@@ -26,20 +26,10 @@ _BUDGET_CHECK_WORK = 4096  # check the clock every 4096 partner visits
 @dataclass(frozen=True)
 class SearchConfig:
     time_budget: float = 60.0  # seconds
-    max_r: Optional[int] = None
 
     def __post_init__(self):
         if self.time_budget <= 0:
             raise InputError("time_budget must be positive")
-
-
-@dataclass(frozen=True)
-class SearchOutcome:
-    r_max: int
-    witness: Optional[Coloring]
-    nodes_explored: int
-    elapsed: float
-    exhausted: bool  # False only on budget exhaustion; r_max is then a lower bound
 
 
 class _Status:
@@ -148,8 +138,6 @@ def _iter_canonical(
             yield nu, tuple(colors)
             if improving_only:
                 need = nu + 1
-                if max_r is not None and need > max_r:
-                    break
             continue
         used_before[pos + 1] = nu
         pos += 1
@@ -159,53 +147,37 @@ def _iter_canonical(
     status.nodes += nodes
 
 
-def max_rainbow_free_r(inst: CyclicInstance, cfg: Optional[SearchConfig] = None) -> SearchOutcome:
-    """Largest r admitting a rainbow-free exact r-coloring of the instance.
+def rb_oracle(inst: CyclicInstance, cfg: Optional[SearchConfig] = None) -> RbResult:
+    """rb(Z_n, k) by exhaustive search: r_max + 1.
 
-    The witness is the lexicographically least canonical coloring among those
-    achieving r_max. With exhausted=False (budget ran out) r_max is only a
-    lower bound.
+    r_max is the largest r admitting a rainbow-free exact r-coloring, and the
+    witness is the lexicographically least canonical coloring achieving it.
+    Merging two color classes of an exact (r+1)-coloring yields an exact
+    r-coloring whose rainbow triples survive in the original, so the set of
+    feasible r is downward closed and rb = r_max + 1. A budget-exhausted
+    search is reported as inconclusive: r_max, and so the value, is then only
+    a lower bound, and the witness (None if no coloring was completed) is not
+    known to be maximum.
     """
     cfg = cfg or SearchConfig()
     start = time.monotonic()
     status = _Status()
-    deadline = start + cfg.time_budget
-    best_r, best_colors = 0, None
+    r_max, best = 0, None
     for r, cols in _iter_canonical(
-        inst, status, max_r=cfg.max_r, deadline=deadline, improving_only=True
+        inst, status, deadline=start + cfg.time_budget, improving_only=True
     ):
-        best_r, best_colors = r, cols
-    witness = Coloring(inst.n, best_colors) if best_colors is not None else None
-    return SearchOutcome(
-        r_max=best_r,
-        witness=witness,
-        nodes_explored=status.nodes,
-        elapsed=time.monotonic() - start,
-        exhausted=status.exhausted,
-    )
-
-
-def rb_oracle(inst: CyclicInstance, cfg: Optional[SearchConfig] = None) -> RbResult:
-    """rb(Z_n, k) by exhaustive search: r_max + 1, capped at n + 1.
-
-    Merging two color classes of an exact (r+1)-coloring yields an exact
-    r-coloring whose rainbow triples survive in the original, so the set of
-    feasible r is downward closed and rb = r_max + 1. A budget-exhausted
-    search is reported as inconclusive (value is then a lower bound).
-    """
-    outcome = max_rainbow_free_r(inst, cfg)
-    value = min(outcome.r_max + 1, inst.n + 1)
+        r_max, best = r, cols
     return RbResult(
-        value=value,
+        value=r_max + 1,
         method=Method.ORACLE,
         detail={
-            "r_max": outcome.r_max,
-            "nodes_explored": outcome.nodes_explored,
-            "elapsed": outcome.elapsed,
-            "exhausted": outcome.exhausted,
+            "r_max": r_max,
+            "nodes_explored": status.nodes,
+            "elapsed": time.monotonic() - start,
+            "exhausted": status.exhausted,
         },
-        conclusive=outcome.exhausted,
-        witness=outcome.witness,
+        conclusive=status.exhausted,
+        witness=Coloring(inst.n, best) if best is not None else None,
     )
 
 

@@ -1,11 +1,10 @@
 """Acceptance gate: one test per criterion, one printed PASS line each.
 
-Budgets are pinned per criterion; the long oracle runs (Z_25 k=5, Z_21 k=3)
-read their budget from RAINBOW_LAB_ACCEPT_BUDGET (seconds, default 900) and
-carry an explicit degradation path when the search does not exhaust.
+Budgets are pinned per criterion. Every oracle run must exhaust within its
+budget: the largest ones (Z_25 k=5, Z_21 k=3) finish in well under a second
+against a fixed 60 s.
 """
 import math
-import os
 import time
 
 import pytest
@@ -32,7 +31,7 @@ from rainbow_lab.constructions import (
 
 from conftest import canonical_colorings
 
-LONG_BUDGET = float(os.environ.get("RAINBOW_LAB_ACCEPT_BUDGET", "900"))
+BUDGET_60S = SearchConfig(time_budget=60.0)
 
 
 def test_criterion_1_schur_formula_vs_oracle():
@@ -91,42 +90,26 @@ def test_criterion_4_prime_powers():
     w27 = witness_prime_power(3, 3)
     assert w27.num_colors() == 3 and is_rainbow_free(w27, 3)
 
-    # Z_25, k=5: witness + oracle with degradation path
+    # Z_25, k=5: witness + oracle
     w25 = witness_prime_power(5, 2)
     assert w25.num_colors() == 3 and is_rainbow_free(w25, 5)
-    res = rb_oracle(CyclicInstance(25, 5), SearchConfig(time_budget=LONG_BUDGET))
-    if res.conclusive:
-        assert res.value == 4, res.value
-        z25_note = f"oracle exhausted ({res.detail['elapsed']:.1f} s), rb=4"
-    else:
-        stream = enumerate_rainbow_free(
-            CyclicInstance(25, 5), 4, SearchConfig(time_budget=LONG_BUDGET)
-        )
-        found = next(iter(stream), None)
-        assert found is None, "degraded path found a rainbow-free 4-coloring"
-        z25_note = "DEGRADED: oracle inconclusive, witness valid, no rf 4-coloring found"
-    print(f"criterion 4: PASS — prime powers exact; Z_27 witness ok; Z_25 {z25_note}")
+    res = rb_oracle(CyclicInstance(25, 5), BUDGET_60S)
+    assert res.conclusive, "Z_25, k=5 not exhausted within 60 s"
+    assert res.value == 4, res.value
+    print(
+        "criterion 4: PASS — prime powers exact; Z_27 witness ok; Z_25 oracle "
+        f"exhausted ({res.detail['elapsed']:.1f} s), rb=4"
+    )
 
 
 def test_criterion_5_general_recursion():
     notes = []
     for n in (6, 12, 15, 21):
-        budget = LONG_BUDGET if n == 21 else 120.0
-        res = rb_oracle(CyclicInstance(n, 3), SearchConfig(time_budget=budget))
+        res = rb_oracle(CyclicInstance(n, 3), BUDGET_60S)
+        assert res.conclusive, f"Z_{n}, k=3 not exhausted within 60 s"
         expected = rb_general(n, 3).value
-        if res.conclusive:
-            assert res.value == expected, (n, res.value, expected)
-            notes.append(f"n={n} rb={res.value} ({res.detail['elapsed']:.1f} s)")
-        else:
-            assert n == 21, f"n={n} unexpectedly inconclusive"
-            w = witness_general(21, 3)
-            assert is_rainbow_free(w, 3)
-            assert w.num_colors() == expected - 1
-            stream = enumerate_rainbow_free(
-                CyclicInstance(21, 3), expected, SearchConfig(time_budget=LONG_BUDGET)
-            )
-            assert next(iter(stream), None) is None
-            notes.append(f"n=21 DEGRADED: witness valid, no rf {expected}-coloring found")
+        assert res.value == expected, (n, res.value, expected)
+        notes.append(f"n={n} rb={res.value} ({res.detail['elapsed']:.1f} s)")
     print(f"criterion 5: PASS — rb_oracle(n,3) == rb_general(n,3): {'; '.join(notes)}")
 
 
@@ -238,7 +221,7 @@ def test_criterion_7_property_suites(rf_small_all_k, rf_k1_by_n, rf_kp_by_np):
             assert len(palettes[0]) == 1
 
     sampled = 0
-    z25 = enumerate_rainbow_free(CyclicInstance(25, 5), 3, SearchConfig(LONG_BUDGET))
+    z25 = enumerate_rainbow_free(CyclicInstance(25, 5), 3, BUDGET_60S)
     for c in z25:
         palettes = residue_palettes(c, 5)
         assert all(palettes[i] == palettes[5 - i] for i in range(1, 5))

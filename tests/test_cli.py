@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rainbow_lab import cli
+from rainbow_lab import cli, formulas, search
 from rainbow_lab.certificates import read_certificate
 from rainbow_lab.coloring import Coloring
 
@@ -36,7 +36,9 @@ class TestRb:
         from rainbow_lab.results import Method, RbResult
 
         monkeypatch.setattr(
-            cli, "rb_schur", lambda n: RbResult(99, Method.SCHUR_FACTORIZATION)
+            cli,
+            "rb_formula",
+            lambda n, k, two_power_table: RbResult(99, Method.SCHUR_FACTORIZATION),
         )
         code, _, err = run(capsys, "rb", "--n", "6", "--k", "1", "--method", "both")
         assert code == cli.EXIT_MISMATCH
@@ -51,10 +53,17 @@ class TestRb:
         assert code == cli.EXIT_INCONCLUSIVE
         assert "inconclusive" in out
 
-    def test_budget_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.BUDGET_ENV_VAR, "0.005")
-        code, _, _ = run(capsys, "rb", "--n", "26", "--k", "1", "--method", "search")
-        assert code == cli.EXIT_INCONCLUSIVE
+    def test_formula_route_never_runs_the_search(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the formula route ran the search")
+
+        monkeypatch.setattr(search, "rb_oracle", forbidden)
+        monkeypatch.setattr(search, "_iter_canonical", forbidden)
+        for a in range(1, 5):
+            assert formulas.rb_general(2**a, 2).value == 3
+        code, out, _ = run(capsys, "rb", "--n", "48", "--k", "2", "--method", "formula")
+        assert code == cli.EXIT_OK
+        assert "rb(48,2) = 4" in out
 
 
 class TestWitnessAndVerify:
@@ -93,6 +102,19 @@ class TestWitnessAndVerify:
         code, out, err = run(
             capsys, "witness", "--n", "8000", "--k", "4",
             "--budget-secs", "0.0005", "--out", str(path),
+        )
+        assert code == cli.EXIT_INCONCLUSIVE
+        assert err.startswith("error: no witness")
+        assert out == ""
+        assert not path.exists()
+
+    def test_witness_inconclusive_oracle_writes_nothing(self, capsys, tmp_path):
+        # k = 2 with 8 | 600 has no construction; 0.01 s lets the oracle
+        # complete colorings of Z_600 but not prove one maximum
+        path = tmp_path / "w.json"
+        code, out, err = run(
+            capsys, "witness", "--n", "600", "--k", "2",
+            "--budget-secs", "0.01", "--out", str(path),
         )
         assert code == cli.EXIT_INCONCLUSIVE
         assert err.startswith("error: no witness")

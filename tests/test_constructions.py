@@ -18,7 +18,7 @@ from rainbow_lab import constructions
 from rainbow_lab.errors import ConfigError, InputError, UnsupportedCaseError
 from rainbow_lab.formulas import rb_general, rb_q_p, rb_schur, rb_schur_prime
 from rainbow_lab.modcore import CyclicInstance
-from rainbow_lab.search import SearchConfig, iter_rainbow_free_colorings, max_rainbow_free_r
+from rainbow_lab.search import SearchConfig, iter_rainbow_free_colorings, rb_oracle
 
 
 class TestWitnessSchurPrime:
@@ -168,7 +168,7 @@ class TestZ9Certificate:
         cached = Coloring(9, tuple(raw["colors"]))
         assert cached.num_colors() == 3
         assert is_rainbow_free(cached, 3)
-        regenerated = max_rainbow_free_r(
+        regenerated = rb_oracle(
             CyclicInstance(9, 3), SearchConfig(time_budget=60.0)
         ).witness
         assert cached == regenerated

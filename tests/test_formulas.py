@@ -5,6 +5,7 @@ import pytest
 from rainbow_lab.errors import ConfigError, InputError, UnsupportedCaseError
 from rainbow_lab.formulas import (
     load_two_power_table,
+    rb_formula,
     rb_general,
     rb_prime_power,
     rb_q_p,
@@ -143,9 +144,12 @@ class TestRbGeneral:
         assert rb_general(8, 2, two_power_table={3: 6}).value == 6
         assert rb_general(24, 2, two_power_table={3: 6}).value == 6 + 1  # q=3 adds 1
 
-    def test_p_two_oracle_fallback_for_small_exponents(self):
-        fallback = rb_general(8, 2).value
-        assert fallback == rb_oracle(CyclicInstance(8, 2)).value
+    @pytest.mark.parametrize("a", range(1, 5))
+    def test_p_two_table_matches_oracle(self, a):
+        # the built-in rb(Z_{2^a}, 2) values, re-derived by exhaustive search
+        res = rb_oracle(CyclicInstance(2**a, 2))
+        assert res.conclusive
+        assert rb_general(2**a, 2).value == res.value
 
     def test_p_two_large_exponent_without_table_errors(self):
         with pytest.raises(ConfigError):
@@ -154,6 +158,18 @@ class TestRbGeneral:
     def test_rejects_composite_coefficient(self):
         with pytest.raises(InputError):
             rb_general(10, 4)
+
+
+class TestRbFormula:
+    def test_dispatch_on_reduced_coefficient(self):
+        assert rb_formula(7, 8).value == rb_schur(7).value  # 8 = 1 (mod 7)
+        assert rb_formula(10, 13).value == rb_general(10, 3).value  # 13 = 3
+        assert rb_formula(8, 2, two_power_table={3: 6}).value == 6
+
+    def test_other_coefficients_unsupported(self):
+        for n, k in ((7, 4), (6, 0), (1, 1), (10, 9)):
+            with pytest.raises(UnsupportedCaseError):
+                rb_formula(n, k)
 
 
 class TestConsistency:

@@ -11,7 +11,6 @@ from rainbow_lab.search import (
     SearchConfig,
     enumerate_rainbow_free,
     iter_rainbow_free_colorings,
-    max_rainbow_free_r,
     rb_oracle,
 )
 
@@ -23,42 +22,40 @@ class TestSearchConfig:
 
 
 class TestMaxRainbowFreeR:
+    """r_max, the largest rainbow-free r, and its witness, as rb_oracle
+    reports them."""
+
     def test_prime_schur(self):
-        out = max_rainbow_free_r(CyclicInstance(5, 1))
-        assert out.r_max == 3
-        assert out.exhausted
-        assert out.witness.is_exact_with(3)
-        assert is_rainbow_free(out.witness, 1)
+        res = rb_oracle(CyclicInstance(5, 1))
+        assert res.detail["r_max"] == 3
+        assert res.conclusive
+        assert res.witness.is_exact_with(3)
+        assert is_rainbow_free(res.witness, 1)
 
     def test_small_cases(self):
-        assert max_rainbow_free_r(CyclicInstance(3, 1)).r_max == 2
-        assert max_rainbow_free_r(CyclicInstance(9, 3)).r_max == 3
+        assert rb_oracle(CyclicInstance(3, 1)).detail["r_max"] == 2
+        assert rb_oracle(CyclicInstance(9, 3)).detail["r_max"] == 3
 
     def test_witness_is_lex_least_canonical(self):
-        out = max_rainbow_free_r(CyclicInstance(7, 1))
-        assert is_canonical(out.witness.colors)
-        stream = enumerate_rainbow_free(CyclicInstance(7, 1), out.r_max)
-        assert out.witness == next(iter(stream))
+        res = rb_oracle(CyclicInstance(7, 1))
+        assert is_canonical(res.witness.colors)
+        stream = enumerate_rainbow_free(CyclicInstance(7, 1), res.detail["r_max"])
+        assert res.witness == next(iter(stream))
 
     def test_deterministic_across_runs(self):
-        a = max_rainbow_free_r(CyclicInstance(10, 1))
-        b = max_rainbow_free_r(CyclicInstance(10, 1))
-        assert (a.r_max, a.witness, a.nodes_explored, a.exhausted) == (
-            b.r_max,
-            b.witness,
-            b.nodes_explored,
-            b.exhausted,
-        )
+        def run():
+            res = rb_oracle(CyclicInstance(10, 1))
+            d = res.detail
+            return res.value, res.witness, d["r_max"], d["nodes_explored"], d["exhausted"]
+
+        assert run() == run()
 
     def test_budget_exhaustion_is_inconclusive(self):
-        out = max_rainbow_free_r(
-            CyclicInstance(26, 1), SearchConfig(time_budget=0.005)
-        )
-        assert not out.exhausted
-
-    def test_max_r_caps_the_search(self):
-        out = max_rainbow_free_r(CyclicInstance(8, 1), SearchConfig(max_r=2))
-        assert out.r_max == 2
+        # a lower bound only: whatever was found is rainbow-free, not maximum
+        res = rb_oracle(CyclicInstance(26, 1), SearchConfig(time_budget=0.005))
+        assert not res.detail["exhausted"]
+        assert res.value == res.detail["r_max"] + 1
+        assert res.witness is None or is_rainbow_free(res.witness, 1)
 
 
 class TestRbOracle:
@@ -154,9 +151,10 @@ class TestReferenceCrossCheck:
         for k in range(n):
             inst = CyclicInstance(n, k)
             r_max, witness, kept = reference_search(n, k, 3 if n <= 12 else None)
-            out = max_rainbow_free_r(inst)
-            assert out.exhausted, (n, k)
-            assert (out.r_max, out.witness.colors) == (r_max, witness), (n, k)
+            res = rb_oracle(inst)
+            assert res.conclusive, (n, k)
+            assert (res.detail["r_max"], res.witness.colors) == (r_max, witness), (n, k)
+            assert res.value == r_max + 1, (n, k)
             if n <= 12:
                 found = [c.colors for c in iter_rainbow_free_colorings(inst, min_r=3)]
                 assert found == kept, (n, k)
