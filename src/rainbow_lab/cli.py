@@ -1,7 +1,8 @@
 """Command-line front end: rb values, witness certificates, verification, tables.
 
 Exit codes: 0 ok, 1 rainbow triple found during verify, 2 input/scope error,
-3 formula/oracle mismatch, 4 inconclusive search (time budget exhausted).
+3 formula/oracle mismatch, 4 inconclusive search (time budget exhausted),
+141 (128 + SIGPIPE) stdout closed by its reader, as in `... | head -1`.
 """
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import argparse
 import csv
 import json
 import logging
+import os
 import sys
 
 from . import __version__
@@ -31,6 +33,7 @@ EXIT_RAINBOW = 1
 EXIT_INPUT = 2
 EXIT_MISMATCH = 3
 EXIT_INCONCLUSIVE = 4
+EXIT_BROKEN_PIPE = 141
 
 TABLE_COLUMNS = ["n", "k", "rb_formula", "rb_search", "agree", "elapsed_ms", "nodes"]
 
@@ -288,10 +291,19 @@ def main(argv=None) -> int:
         format="%(levelname)s %(message)s",
     )
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to devnull so the
+        # interpreter's final flush of stdout cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

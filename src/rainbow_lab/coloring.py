@@ -13,7 +13,6 @@ from typing import Optional
 
 from .errors import InputError
 from .modcore import (
-    CyclicInstance,
     Triple,
     is_k_periodic_subset,
     is_prime,
@@ -46,9 +45,13 @@ class Coloring:
         return len(set(self.colors))
 
     def color_classes(self) -> dict[int, set[int]]:
+        """Color -> positions, in order of first occurrence."""
         classes: dict[int, set[int]] = {}
         for x, c in enumerate(self.colors):
-            classes.setdefault(c, set()).add(x)
+            if c in classes:
+                classes[c].add(x)
+            else:
+                classes[c] = {x}
         return classes
 
     def is_exact_with(self, r: int) -> bool:
@@ -82,14 +85,18 @@ def is_canonical(colors) -> bool:
 
 
 def find_rainbow_triple(c: Coloring, k: int) -> Optional[Triple]:
-    """The lexicographically least triple carrying three distinct colors, if any."""
-    inst = CyclicInstance(c.n, k)
+    """The lexicographically least triple carrying three distinct colors, if any.
+
+    The equation is symmetric in x1 and x2, and the two carry different
+    colors, so the least rainbow triple has x1 < x2: only those pairs are
+    visited, each unordered pair once, in lexicographic order.
+    """
     n = c.n
     cols = c.colors
-    sols = solutions_by_sum(inst)
+    sols = solutions_by_sum(n, k)
     for x1 in range(n):
         c1 = cols[x1]
-        for x2 in range(n):
+        for x2 in range(x1 + 1, n):
             c2 = cols[x2]
             if c1 == c2:
                 continue
@@ -203,15 +210,17 @@ class LMClassification:
     dilation: Optional[int] = None
 
 
-def _cyclic_interval_start(S: frozenset[int], q: int) -> Optional[int]:
-    """The start of S if S is a cyclic interval [s, s+|S|-1] mod q, else None."""
-    starts = [x for x in S if (x - 1) % q not in S]
-    if len(starts) != 1:
-        return None
-    s = starts[0]
-    if all((s + i) % q in S for i in range(len(S))):
-        return s
-    return None
+_NOT_RAINBOW_FREE_FORM = LMClassification(LMCase.NOT_RAINBOW_FREE_FORM)
+
+
+def _progression_start(S: set[int], d: int, q: int) -> Optional[int]:
+    """The first element of S as a progression with difference d in Z_q.
+
+    That is the x in S with x - d not in S, when exactly one exists; for
+    0 < |S| < q and d != 0 this holds iff S is such a progression.
+    """
+    starts = [x for x in S if (x - d) % q not in S]
+    return starts[0] if len(starts) == 1 else None
 
 
 def classify_3coloring_LM(c: Coloring, k: int) -> LMClassification:
@@ -221,8 +230,9 @@ def classify_3coloring_LM(c: Coloring, k: int) -> LMClassification:
     together with a dilation factor a realizing it. Dilations fix 0 and
     preserve symmetry and <k>-periodicity, so case 1 is tested at a = 1,
     cases 2(i)/(ii) only at the unique dilation sending a non-zero singleton
-    class to {1}, and only case 3 scans all dilation factors. A coloring
-    matching no case admits a rainbow triple.
+    class to {1}, and case 3 only at the few a that can turn the smallest
+    class into an interval, least first. A coloring matching no case admits
+    a rainbow triple.
     """
     q = c.n
     if not is_prime(q) or q < 3:
@@ -232,18 +242,19 @@ def classify_3coloring_LM(c: Coloring, k: int) -> LMClassification:
     k %= q
     if k == 0:
         raise InputError(f"coefficient k={k} is not invertible mod {q}")
-    inv2 = pow(2, -1, q)
-    classes = [frozenset(xs) for xs in c.color_classes().values()]
     k_is_2 = k == 2 % q
     k_is_minus1 = k == q - 1
+    # cases 2 and 3 need k in {2, -1}; case 1 needs the class of 0 to be {0}
+    if not (k_is_2 or k_is_minus1) and c.colors.count(c.colors[0]) > 1:
+        return _NOT_RAINBOW_FREE_FORM
+    classes = list(c.color_classes().values())  # classes[0] holds 0
 
     # case 1: {0} singleton, other classes symmetric and <k>-periodic.
     # Both properties are dilation-invariant, so a = 1 suffices.
-    for i, s in enumerate(classes):
-        if s == {0}:
-            others = [classes[j] for j in range(3) if j != i]
-            if all(is_symmetric_subset(o, q) and is_k_periodic_subset(o, k, q) for o in others):
-                return LMClassification(LMCase.CASE1, 1)
+    if len(classes[0]) == 1 and all(
+        is_symmetric_subset(o, q) and is_k_periodic_subset(o, k, q) for o in classes[1:]
+    ):
+        return LMClassification(LMCase.CASE1, 1)
 
     # cases 2(i)/(ii): a singleton class {x}, x != 0, dilated to {1};
     # only a = x^-1 can achieve that.
@@ -272,6 +283,7 @@ def classify_3coloring_LM(c: Coloring, k: int) -> LMClassification:
             # away from the pair containing 1, whose partner is -2, and
             # X + 2^-1 = -(X + 2^-1) is exactly that reflection.
             if k_is_minus1:
+                inv2 = pow(2, -1, q)
                 shifted = [
                     frozenset((y + inv2) % q for y in o if y != minus2)
                     for o in others
@@ -280,13 +292,31 @@ def classify_3coloring_LM(c: Coloring, k: int) -> LMClassification:
                     return LMClassification(LMCase.CASE2II, a)
 
     # case 3: k = -1, all classes are difference-1 progressions chained as
-    # [a1, a2-1], [a2, a3-1], [a3, a1-1] with a1 + a2 + a3 in {1, 2};
-    # intervals are not dilation-invariant, so scan all factors.
+    # [a1, a2-1], [a2, a3-1], [a3, a1-1] with a1 + a2 + a3 in {1, 2}.
+    # a*S is an interval iff S is a progression with difference d = a^-1,
+    # and S is one with d iff it is one with -d. One of d, -d leads from
+    # x0 = min(S) to another element y of S, so the steps d = y - x0 that
+    # make the smallest class a progression, and their negatives, give every
+    # candidate a; they are tried in increasing order, as a scan of 1..q-1
+    # would.
     if k_is_minus1 and min(len(s) for s in classes) >= 2:
-        for a in range(1, q):
-            dil = [frozenset((a * x) % q for x in s) for s in classes]
-            starts = [_cyclic_interval_start(s, q) for s in dil]
-            if all(s is not None for s in starts):
-                if sum(starts) % q in (1, 2):
+        smallest = min(classes, key=len)
+        x0 = min(smallest)
+        cands = {}
+        for y in smallest:
+            d = (y - x0) % q
+            if d and _progression_start(smallest, d, q) is not None:
+                a = pow(d, -1, q)
+                cands[a] = d
+                cands[q - a] = q - d
+        for a in sorted(cands):
+            total = 0
+            for s in classes:
+                x = _progression_start(s, cands[a], q)
+                if x is None:
+                    break
+                total += x  # a*S starts at a*x
+            else:
+                if a * total % q in (1, 2):
                     return LMClassification(LMCase.CASE3, a)
-    return LMClassification(LMCase.NOT_RAINBOW_FREE_FORM)
+    return _NOT_RAINBOW_FREE_FORM

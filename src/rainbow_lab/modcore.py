@@ -73,14 +73,19 @@ def prime_factorize(n: int) -> Factorization:
     return factors
 
 
-@functools.lru_cache(maxsize=64)
-def solutions_by_sum(inst: CyclicInstance) -> tuple[tuple[int, ...], ...]:
+def solutions_by_sum(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """For each residue s, the increasing tuple of x3 with k*x3 = s (mod n).
 
-    O(n) in size. The last 64 tables are kept, so repeated rainbow checks and
-    searches on one instance share a single table.
+    O(n) in size. The tables of the last 64 (n, k mod n) are kept, so repeated
+    rainbow checks and searches on one instance share a single table.
     """
-    n, k = inst.n, inst.k
+    if n < 1:
+        raise InputError(f"modulus must be a positive integer, got {n}")
+    return _solutions_table(n, k % n)
+
+
+@functools.lru_cache(maxsize=64)
+def _solutions_table(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     sols: list[list[int]] = [[] for _ in range(n)]
     for x3 in range(n):
         sols[(k * x3) % n].append(x3)
@@ -94,7 +99,7 @@ def iter_triples(inst: CyclicInstance) -> Iterator[Triple]:
     colors, which makes repeated elements harmless downstream.
     """
     n = inst.n
-    sols = solutions_by_sum(inst)
+    sols = solutions_by_sum(n, inst.k)
     for x1 in range(n):
         for x2 in range(n):
             for x3 in sols[(x1 + x2) % n]:

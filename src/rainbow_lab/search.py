@@ -64,7 +64,7 @@ def _iter_canonical(
     n, k = inst.n, inst.k
     if max_r is not None and max_r < 1:
         return
-    sols = solutions_by_sum(inst)
+    sols = solutions_by_sum(n, k)
     colors = [-1] * n
     used_before = [0] * (n + 1)
     cand = [0] * n

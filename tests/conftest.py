@@ -3,14 +3,24 @@
 The session-scoped fixtures cache the expensive rainbow-free enumerations so
 the property suites and the acceptance suite traverse each search space once.
 The brute-force helpers deliberately avoid the package's triple index and
-solution tables: they are the independent cross-check for the search kernel.
+solution tables: they are the independent cross-check for the search kernel
+and the rainbow scan. The reference LM classifier keeps the plain form that
+tries case 3 at every dilation.
 """
 from __future__ import annotations
 
 import pytest
 
 from rainbow_lab import CyclicInstance, SearchConfig
-from rainbow_lab.modcore import prime_factorize
+from rainbow_lab.coloring import LMCase, LMClassification
+from rainbow_lab.errors import InputError
+from rainbow_lab.modcore import (
+    Triple,
+    is_k_periodic_subset,
+    is_prime,
+    is_symmetric_subset,
+    prime_factorize,
+)
 from rainbow_lab.search import iter_rainbow_free_colorings
 
 # (n, p) pairs for the prime-coefficient palette/projection suites: n = q*t
@@ -98,6 +108,90 @@ def reference_search(n, k, keep_min_r=None):
 
     rec(0, 0)
     return best[0], best[1], kept
+
+
+def reference_rainbow_triple(c, k):
+    """The lexicographically least rainbow triple by the plain ordered-pair
+    scan: every (x1, x2), then every x3 in increasing order, with the third
+    coordinate solved by a loop over Z_n instead of the package's table."""
+    n, cols = c.n, c.colors
+    for x1 in range(n):
+        for x2 in range(n):
+            if cols[x1] == cols[x2]:
+                continue
+            for x3 in range(n):
+                if (x1 + x2 - k * x3) % n == 0 and cols[x3] not in (cols[x1], cols[x2]):
+                    return Triple(x1, x2, x3)
+    return None
+
+
+def _reference_interval_start(S, q):
+    """The start of S if S is a cyclic interval [s, s+|S|-1] mod q, else None."""
+    starts = [x for x in S if (x - 1) % q not in S]
+    if len(starts) != 1:
+        return None
+    s = starts[0]
+    if all((s + i) % q in S for i in range(len(S))):
+        return s
+    return None
+
+
+def reference_classify_LM(c, k):
+    """The Llano-Montejano classifier with case 3 tried at every dilation
+    a = 1..q-1 on dilated copies of the classes: the plain reference for
+    coloring.classify_3coloring_LM, which must agree on (case, dilation) and
+    on the message of every InputError."""
+    q = c.n
+    if not is_prime(q) or q < 3:
+        raise InputError(f"classification requires a prime modulus >= 3, got {q}")
+    if c.num_colors() != 3:
+        raise InputError("classification requires an exact 3-coloring")
+    k %= q
+    if k == 0:
+        raise InputError(f"coefficient k={k} is not invertible mod {q}")
+    inv2 = pow(2, -1, q)
+    classes = [frozenset(xs) for xs in c.color_classes().values()]
+    k_is_2 = k == 2 % q
+    k_is_minus1 = k == q - 1
+
+    for i, s in enumerate(classes):
+        if s == {0}:
+            others = [classes[j] for j in range(3) if j != i]
+            if all(is_symmetric_subset(o, q) and is_k_periodic_subset(o, k, q) for o in others):
+                return LMClassification(LMCase.CASE1, 1)
+
+    if k_is_2 or k_is_minus1:
+        minus2 = (-2) % q
+        for i, s in enumerate(classes):
+            if len(s) != 1 or 0 in s:
+                continue
+            (x,) = s
+            a = pow(x, -1, q)
+            others = [
+                frozenset((a * y) % q for y in classes[j]) for j in range(3) if j != i
+            ]
+            if k_is_2:
+                shifted = [frozenset((y - 1) % q for y in o) for o in others]
+                if all(
+                    is_symmetric_subset(o, q) and is_k_periodic_subset(o, 2, q)
+                    for o in shifted
+                ):
+                    return LMClassification(LMCase.CASE2I, a)
+            if k_is_minus1:
+                shifted = [
+                    frozenset((y + inv2) % q for y in o if y != minus2) for o in others
+                ]
+                if all(is_symmetric_subset(o, q) for o in shifted):
+                    return LMClassification(LMCase.CASE2II, a)
+
+    if k_is_minus1 and min(len(s) for s in classes) >= 2:
+        for a in range(1, q):
+            dil = [frozenset((a * x) % q for x in s) for s in classes]
+            starts = [_reference_interval_start(s, q) for s in dil]
+            if all(s is not None for s in starts):
+                if sum(starts) % q in (1, 2):
+                    return LMClassification(LMCase.CASE3, a)
+    return LMClassification(LMCase.NOT_RAINBOW_FREE_FORM)
 
 
 def has_singleton_class(coloring):

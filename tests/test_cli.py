@@ -1,9 +1,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rainbow_lab
 from rainbow_lab import cli, formulas, search
 from rainbow_lab.certificates import read_certificate
 from rainbow_lab.coloring import Coloring
@@ -227,6 +231,33 @@ class TestTable:
         _, out1, _ = run(capsys, "table", "--n-max", "8", "--k", "1")
         _, out2, _ = run(capsys, "table", "--n-max", "8", "--k", "1")
         assert strip(out1) == strip(out2)
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_exits_141_without_traceback(self, unbuffered):
+        # `table ... | head -1`: the reader closes the pipe after one line.
+        # Closing the read end before the child writes makes every write
+        # fail, whether stdout is block-buffered or unbuffered.
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(rainbow_lab.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rainbow_lab.cli", "table", "--n-max", "12", "--k", "3"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        try:
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
+        assert code == cli.EXIT_BROKEN_PIPE == 141
 
 
 class TestParser:

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,7 +20,8 @@ from rainbow_lab.coloring import (
     residue_palettes,
 )
 from rainbow_lab.errors import InputError
-from rainbow_lab.modcore import Triple
+from rainbow_lab.modcore import CyclicInstance, Triple
+from rainbow_lab.search import enumerate_rainbow_free
 
 
 class TestColoring:
@@ -220,3 +224,58 @@ class TestLMClassifier:
             for k in range(1, 7):
                 matched = classify_3coloring_LM(c, k).case is not LMCase.NOT_RAINBOW_FREE_FORM
                 assert matched == is_rainbow_free(c, k), (cols, k)
+
+
+def _lm_outcome(classify, c, k):
+    try:
+        result = classify(c, k)
+    except InputError as exc:
+        return "InputError", str(exc)
+    return result.case, result.dilation
+
+
+class TestCheckingMatchesReference:
+    """The LM classifier and the rainbow scan against the plain references
+    in conftest: the same (case, dilation) or InputError message, and the
+    same triple."""
+
+    @staticmethod
+    def assert_same_classification(c, k):
+        from conftest import reference_classify_LM
+
+        got = _lm_outcome(classify_3coloring_LM, c, k)
+        assert got == _lm_outcome(reference_classify_LM, c, k), (c.colors, k)
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_every_4_label_coloring(self, q):
+        for cols in itertools.product(range(4), repeat=q):
+            c = Coloring(q, cols)
+            for k in range(q + 2):
+                self.assert_same_classification(c, k)
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 19])
+    def test_every_rainbow_free_3_coloring(self, q):
+        for k in range(q):
+            for c in enumerate_rainbow_free(CyclicInstance(q, k), 3):
+                self.assert_same_classification(c, k)
+
+    @pytest.mark.parametrize("q", [13, 17, 19, 23])
+    def test_random_colorings(self, q):
+        rng = random.Random(q)
+        for _ in range(5000):
+            c = Coloring(q, tuple(rng.randrange(3) for _ in range(q)))
+            for k in (1, 2, -1, rng.randrange(q)):
+                self.assert_same_classification(c, k)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_scan_returns_the_reference_triple(self, n):
+        # every coloring with at most 3 colors, up to relabeling, which
+        # leaves the rainbow triples unchanged
+        from conftest import canonical_colorings, reference_rainbow_triple
+
+        for cols in canonical_colorings(n):
+            if max(cols) > 2:
+                continue
+            c = Coloring(n, cols)
+            for k in range(n):
+                assert find_rainbow_triple(c, k) == reference_rainbow_triple(c, k), (cols, k)
