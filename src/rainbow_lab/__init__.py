@@ -25,14 +25,10 @@ from .coloring import (
 )
 from .constructions import (
     lift_general,
-    lift_schur,
     max_coloring_q_symmetric,
     witness_general,
-    witness_k_equals_p,
     witness_prime_power,
     witness_q_p,
-    witness_schur,
-    witness_schur_prime,
 )
 from .errors import (
     CertificateError,
@@ -50,7 +46,6 @@ from .formulas import (
     rb_prime_power,
     rb_q_p,
     rb_schur,
-    rb_schur_prime,
 )
 from .modcore import (
     CyclicInstance,

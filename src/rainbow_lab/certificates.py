@@ -59,9 +59,9 @@ def parse_certificate(text: str) -> Certificate:
         if key not in doc:
             raise CertificateError(f"missing required field {key!r}")
     n, k, colors = doc["n"], doc["k"], doc["colors"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise CertificateError(f"'n' must be a positive integer, got {n!r}")
-    if not isinstance(k, int):
+    if not isinstance(k, int) or isinstance(k, bool):
         raise CertificateError(f"'k' must be an integer, got {k!r}")
     if (
         not isinstance(colors, list)

@@ -16,7 +16,7 @@ import sys
 from . import __version__
 from .certificates import make_certificate, read_certificate, write_certificate
 from .coloring import find_rainbow_triple, residue_palettes
-from .constructions import witness_general, witness_schur
+from .constructions import witness_general
 from .errors import (
     CertificateError,
     ConfigError,
@@ -41,22 +41,11 @@ log = logging.getLogger("rainbow_lab")
 
 
 def cmd_rb(args) -> int:
-    try:
-        inst = CyclicInstance(args.n, args.k)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    inst = CyclicInstance(args.n, args.k)
     formula = search = None
     if args.method in ("formula", "both"):
-        try:
-            table = (
-                load_two_power_table(args.two_power_table) if args.two_power_table else None
-            )
-            formula = rb_formula(args.n, args.k, two_power_table=table)
-        except (UnsupportedCaseError, ConfigError, InputError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        table = load_two_power_table(args.two_power_table) if args.two_power_table else None
+        formula = rb_formula(args.n, args.k, two_power_table=table)
     if args.method in ("search", "both"):
         search = rb_oracle(inst, SearchConfig(time_budget=args.budget_secs))
         if not search.conclusive:
@@ -93,9 +82,7 @@ def _construct_witness(n: int, k: int, budget: float):
     the search oracle's witness, which is None unless the search is
     conclusive (only then is the witness a maximum coloring)."""
     inst = CyclicInstance(n, k)
-    if n >= 2 and inst.k == 1:
-        return witness_schur(n), "schur-lift"
-    if is_prime(inst.k):
+    if inst.k == 1 or is_prime(inst.k):
         try:
             return witness_general(n, inst.k), "general-lift"
         except (UnsupportedCaseError, InputError):
@@ -105,11 +92,7 @@ def _construct_witness(n: int, k: int, budget: float):
 
 
 def cmd_witness(args) -> int:
-    try:
-        coloring, source = _construct_witness(args.n, args.k, args.budget_secs)
-    except (InputError, RainbowLabError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    coloring, source = _construct_witness(args.n, args.k, args.budget_secs)
     if coloring is None:
         print(
             f"error: no witness for ({args.n},{args.k}): the search budget of "
@@ -294,7 +277,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe must fail here, not at exit
         return code
-    except InputError as exc:
+    except RainbowLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BrokenPipeError:

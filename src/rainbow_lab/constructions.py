@@ -3,6 +3,10 @@
 Every builder verifies its output rainbow-free before returning and raises
 ConstructionError instead of handing back an unverified coloring. Witness
 color counts always equal the matching closed-form rainbow number minus one.
+
+k = 1 is the unit case of the prime-k builders: the +-orbit of 1 in Z_q^* is
+{1, q - 1}, so witness_q_p(q, 1) is the Schur 3-coloring {0}, {1, q - 1},
+the rest, and witness_general(n, 1) lifts it over the prime factors of n.
 """
 from __future__ import annotations
 
@@ -24,77 +28,6 @@ def _verified(colors: list[int], n: int, k: int, what: str) -> Coloring:
     return c
 
 
-def witness_schur_prime(p: int) -> Coloring:
-    """Maximum 3-coloring of Z_p for k=1, p >= 5: {0} alone, {1, p-1} together,
-    everything else a third color.
-
-    Any symmetric 2-coloring of Z_p^* plus a unique color on 0 works; this
-    split is fixed for determinism.
-    """
-    if not is_prime(p) or p < 5:
-        raise InputError(f"requires a prime >= 5, got {p} (no 3-coloring exists below)")
-    colors = [2] * p
-    colors[0] = 0
-    colors[1] = colors[p - 1] = 1
-    return _verified(colors, p, 1, f"witness_schur_prime({p})")
-
-
-def lift_schur(base: Coloring, p: int) -> Coloring:
-    """Lift a rainbow-free k=1 coloring of Z_t to Z_{pt}.
-
-    Multiples of p inherit the base coloring via x/p; residues +-1 mod p get
-    one fresh color and the remaining residues a second. For p in {2, 3} the
-    second class is empty, adding rb(Z_p,1) - 2 colors either way.
-    """
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    if not is_rainbow_free(base, 1):
-        raise InputError("base coloring is not rainbow-free for k=1")
-    t = base.n
-    r = base.num_colors()
-    colors = []
-    for x in range(p * t):
-        rem = x % p
-        if rem == 0:
-            colors.append(base.colors[x // p])
-        elif rem in (1, p - 1):
-            colors.append(r)
-        else:
-            colors.append(r + 1)
-    return _verified(colors, p * t, 1, f"lift_schur(t={t}, p={p})")
-
-
-def _schur_prime_base(p: int) -> Coloring:
-    if p >= 5:
-        return witness_schur_prime(p)
-    # {0} vs the rest; any exact 2-coloring is rainbow-free
-    return Coloring(p, (0,) + (1,) * (p - 1))
-
-
-def witness_schur(n: int) -> Coloring:
-    """Maximum rainbow-free coloring of Z_n for k=1 (rb_schur(n) - 1 colors),
-    built by lifting over the prime factors of n in increasing order."""
-    if n < 2:
-        raise InputError(f"requires n >= 2, got {n}")
-    primes = [p for p, alpha in prime_factorize(n) for _ in range(alpha)]
-    c = _schur_prime_base(primes[0])
-    for p in primes[1:]:
-        c = lift_schur(c, p)
-    return c
-
-
-def witness_k_equals_p(p: int) -> Coloring:
-    """Maximum coloring of Z_p for k=p: c(x) = min(x, p-x), (p+1)/2 colors.
-
-    Symmetric by construction; every triple has x2 = -x1, so two coordinates
-    always share a color.
-    """
-    if not is_prime(p) or p == 2:
-        raise InputError(f"requires an odd prime, got {p}")
-    colors = [min(x, p - x) for x in range(p)]
-    return _verified(colors, p, p, f"witness_k_equals_p({p})")
-
-
 def _pm_power_orbit(q: int, p: int) -> set[int]:
     """{p^i, -p^i mod q : i in Z} inside Z_q^*."""
     orbit = set()
@@ -107,7 +40,8 @@ def _pm_power_orbit(q: int, p: int) -> set[int]:
 
 
 def witness_q_p(q: int, p: int) -> Coloring:
-    """The 3-coloring {0}, {±p^i}, rest of Z_q^* for the rb(Z_q, p) = 4 pairs."""
+    """The 3-coloring {0}, {±p^i}, rest of Z_q^* for the rb(Z_q, p) = 4 pairs,
+    p = 1 or a prime other than q."""
     result = rb_q_p(q, p)
     if result.value != 4:
         which = (
@@ -140,7 +74,9 @@ def _load_z9_witness() -> Coloring:
 def witness_prime_power(p: int, alpha: int) -> Coloring:
     """Maximum coloring of Z_{p^alpha} for k=p.
 
-    p >= 5: color residue classes R_i and R_{p-i} mod p alike, (p+1)/2 colors.
+    p >= 5: color residue classes R_i and R_{p-i} mod p alike, (p+1)/2 colors;
+    for alpha = 1 that is c(x) = min(x, p-x), rainbow-free because every
+    solution of x1 + x2 = p*x3 in Z_p has x2 = -x1.
     p = 3, alpha = 1: the 2-coloring [0, 1, 1]. p = 3, alpha >= 2: repeat the
     packaged maximum 3-coloring of Z_9 (obtained once from the search oracle)
     through x mod 9; ConfigError if that data file is missing or malformed.
@@ -176,7 +112,8 @@ def max_coloring_q_symmetric(q: int, p: int) -> Coloring:
 
 
 def lift_general(base: Coloring, q: int, p: int) -> Coloring:
-    """Lift a rainbow-free k=p coloring of Z_t to Z_{qt}, q != p prime.
+    """Lift a rainbow-free k=p coloring of Z_t to Z_{qt}, q a prime other than
+    p, p = 1 or prime.
 
     Multiples of q inherit the base via x/q; other positions take fresh colors
     by their symmetric maximum pattern mod q, adding rb(Z_q, p) - 2 colors.
@@ -200,12 +137,12 @@ def lift_general(base: Coloring, q: int, p: int) -> Coloring:
 
 
 def witness_general(n: int, p: int) -> Coloring:
-    """Maximum rainbow-free coloring of Z_n for prime k=p (rb_general(n, p) - 1
-    colors): the prime-power witness lifted over the remaining prime factors
-    in increasing order. When p does not divide n, the base is the trivial
-    1-coloring of Z_1 and the first lift supplies the 2-color base."""
-    if not is_prime(p):
-        raise InputError(f"coefficient {p} is not prime")
+    """Maximum rainbow-free coloring of Z_n for k=p, p = 1 or prime
+    (rb_general(n, p) - 1 colors): the prime-power witness, or when p does not
+    divide n the symmetric maximum coloring of Z_q for the least prime q | n,
+    lifted over the remaining prime factors in increasing order."""
+    if not (p == 1 or is_prime(p)):
+        raise InputError(f"coefficient {p} is neither 1 nor prime")
     if n < 2:
         raise InputError(f"requires n >= 2, got {n}")
     alpha = 0
@@ -218,7 +155,7 @@ def witness_general(n: int, p: int) -> Coloring:
     if alpha > 0:
         c = witness_prime_power(p, alpha)  # raises UnsupportedCaseError for p=2
     else:
-        c = Coloring(1, (0,))
+        c = max_coloring_q_symmetric(rest.pop(0), p)
     for q in rest:
         c = lift_general(c, q, p)
     return c

@@ -1,12 +1,15 @@
 """Closed-form rainbow numbers, composed exactly as the theorems prescribe.
 
-rb(Z_p, 1) for primes, the factorization formula for rb(Z_n, 1), rb(Z_q, p)
-for distinct primes via multiplicative orders, rb(Z_{p^a}, p) for odd p, and
-the general recursion for rb(Z_n, p), and rb_formula, which picks among them
-by the coefficient. The k = 2 power-of-two base rb(Z_{2^a}, 2) has no closed
-form; it comes from an injected value table or, for a <= 4, from a built-in
-one. This module never runs the search: the oracle checks these values, it
-does not supply them.
+rb(Z_q, p) for a prime modulus q via the multiplicative order of p,
+rb(Z_{p^a}, p) for odd p, the recursion rb_general for rb(Z_n, p) over the
+prime factorization of n, and rb_formula, which reduces k mod n and calls
+the recursion when that is 1 or a prime. k = 1 is the unit case of the
+recursion: 1 has order 1 in every Z_q^*, so rb(Z_q, 1) is 3 for q in {2, 3}
+and 4 otherwise, no prime factor equals 1, and the recursion becomes the
+Schur factorization formula 2 + sum of alpha_i * (rb(Z_{q_i}, 1) - 2). The k = 2
+power-of-two base rb(Z_{2^a}, 2) has no closed form; it comes from an
+injected value table or, for a <= 4, from a built-in one. This module never
+runs the search: the oracle checks these values, it does not supply them.
 """
 from __future__ import annotations
 
@@ -22,37 +25,11 @@ from .results import Method, RbResult
 _TWO_POWER_RB = {1: 3, 2: 3, 3: 3, 4: 3}
 
 
-def rb_schur_prime(p: int) -> RbResult:
-    """rb(Z_p, 1): 3 for p in {2, 3}, 4 for every prime p >= 5."""
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    value = 3 if p in (2, 3) else 4
-    return RbResult(value=value, method=Method.SCHUR_PRIME, detail={"p": p})
-
-
-def rb_schur(n: int) -> RbResult:
-    """rb(Z_n, 1) = 2 + sum of alpha_i * (rb(Z_{p_i}, 1) - 2) over the factorization."""
-    if n < 2:
-        raise InputError(f"rb(Z_n, 1) formula requires n >= 2, got {n}")
-    terms = []
-    value = 2
-    for p, alpha in prime_factorize(n):
-        rb_p = rb_schur_prime(p).value
-        contribution = alpha * (rb_p - 2)
-        value += contribution
-        terms.append({"p": p, "alpha": alpha, "rb_p": rb_p, "contribution": contribution})
-    return RbResult(
-        value=value,
-        method=Method.SCHUR_FACTORIZATION,
-        detail={"base": 2, "terms": terms},
-    )
-
-
 def rb_q_p(q: int, p: int) -> RbResult:
-    """rb(Z_q, p) for distinct primes: 3 iff p generates Z_q^* or the order of
-    p is (q-1)/2 with (q-1)/2 odd; otherwise 4."""
-    if not is_prime(q) or not is_prime(p):
-        raise InputError(f"both arguments must be prime, got q={q}, p={p}")
+    """rb(Z_q, p) for a prime q and p = 1 or a prime other than q: 3 iff p
+    generates Z_q^* or the order of p is (q-1)/2 with (q-1)/2 odd; otherwise 4."""
+    if not is_prime(q) or not (p == 1 or is_prime(p)):
+        raise InputError(f"q must be prime and p 1 or prime, got q={q}, p={p}")
     if q == p:
         raise InputError("q and p must be distinct primes")
     a = p % q  # the conditions live in Z_q^*
@@ -134,13 +111,14 @@ def _rb_two_power(alpha: int, table: Optional[Mapping[int, int]]) -> int:
 def rb_general(
     n: int, p: int, two_power_table: Optional[Mapping[int, int]] = None
 ) -> RbResult:
-    """rb(Z_n, p) for prime p via the recursion over n = p^alpha * prod q_i^{alpha_i}:
+    """rb(Z_n, p) for p = 1 or prime p via the recursion over
+    n = p^alpha * prod q_i^{alpha_i}:
 
     rb(Z_{p^alpha}, p) + sum of alpha_i * (rb(Z_{q_i}, p) - 2), with the
-    alpha = 0 base taken as 2.
+    alpha = 0 base taken as 2. For p = 1, alpha is always 0.
     """
-    if not is_prime(p):
-        raise InputError(f"coefficient {p} is not prime")
+    if not (p == 1 or is_prime(p)):
+        raise InputError(f"coefficient {p} is neither 1 nor prime")
     if n < 2:
         raise InputError(f"rb(Z_n, p) formula requires n >= 2, got {n}")
     alpha = 0
@@ -169,15 +147,18 @@ def rb_general(
     )
 
 
+def rb_schur(n: int) -> RbResult:
+    """rb(Z_n, 1), the Schur case, under the name perfbench/make_reference.py imports."""
+    return rb_general(n, 1)
+
+
 def rb_formula(
     n: int, k: int, two_power_table: Optional[Mapping[int, int]] = None
 ) -> RbResult:
-    """rb(Z_n, k) from the closed forms: rb_schur when k = 1 mod n, rb_general
-    when k mod n is prime. Any other coefficient raises UnsupportedCaseError."""
+    """rb(Z_n, k) from the closed forms: rb_general when k mod n is 1 or a
+    prime. Any other coefficient raises UnsupportedCaseError."""
     k_red = CyclicInstance(n, k).k
-    if k_red == 1:
-        return rb_schur(n)
-    if is_prime(k_red):
+    if k_red == 1 or is_prime(k_red):
         return rb_general(n, k_red, two_power_table=two_power_table)
     raise UnsupportedCaseError(
         f"no closed form for (n={n}, k={k}): the formulas cover k = 1 mod n "

@@ -10,8 +10,6 @@ if TYPE_CHECKING:
 
 
 class Method(Enum):
-    SCHUR_PRIME = "formula-schur-prime"
-    SCHUR_FACTORIZATION = "formula-schur-factorization"
     Q_P = "formula-q-p"
     PRIME_POWER = "formula-prime-power"
     GENERAL_RECURSION = "formula-general-recursion"

@@ -11,6 +11,7 @@ outcome, never a guess.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -28,8 +29,11 @@ class SearchConfig:
     time_budget: float = 60.0  # seconds
 
     def __post_init__(self):
-        if self.time_budget <= 0:
-            raise InputError("time_budget must be positive")
+        # a nan or infinite deadline never compares past, so it would never stop
+        if not (math.isfinite(self.time_budget) and self.time_budget > 0):
+            raise InputError(
+                f"time_budget must be a positive finite number, got {self.time_budget}"
+            )
 
 
 class _Status:

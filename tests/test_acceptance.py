@@ -11,23 +11,10 @@ import pytest
 
 from rainbow_lab.coloring import Coloring, classify_3coloring_LM, is_rainbow_free
 from rainbow_lab.coloring import LMCase
-from rainbow_lab.formulas import (
-    rb_general,
-    rb_prime_power,
-    rb_q_p,
-    rb_schur,
-    rb_schur_prime,
-)
+from rainbow_lab.formulas import rb_general, rb_prime_power, rb_q_p
 from rainbow_lab.modcore import CyclicInstance, is_prime, prime_factorize
 from rainbow_lab.search import SearchConfig, enumerate_rainbow_free, rb_oracle
-from rainbow_lab.constructions import (
-    witness_general,
-    witness_k_equals_p,
-    witness_prime_power,
-    witness_q_p,
-    witness_schur,
-    witness_schur_prime,
-)
+from rainbow_lab.constructions import witness_general, witness_prime_power, witness_q_p
 
 from conftest import canonical_colorings
 
@@ -40,12 +27,12 @@ def test_criterion_1_schur_formula_vs_oracle():
         res = rb_oracle(CyclicInstance(n, 1), SearchConfig(time_budget=120.0))
         assert res.conclusive, f"n={n} search did not exhaust within 120 s"
         assert res.detail["elapsed"] < 120.0, f"n={n} took {res.detail['elapsed']:.1f} s"
-        expected = rb_schur(n).value
+        expected = rb_general(n, 1).value
         assert res.value == expected, f"n={n}: oracle {res.value} != formula {expected}"
         worst = max(worst, res.detail["elapsed"])
-    assert rb_schur(12).value == 5 and rb_schur(16).value == 6
+    assert rb_general(12, 1).value == 5 and rb_general(16, 1).value == 6
     print(
-        "criterion 1: PASS — rb_oracle(n,1) == rb_schur(n) for n in [2,16], "
+        "criterion 1: PASS — rb_oracle(n,1) == rb_general(n,1) for n in [2,16], "
         f"all exhausted (slowest {worst:.2f} s < 120 s)"
     )
 
@@ -116,15 +103,15 @@ def test_criterion_5_general_recursion():
 def test_criterion_6_construction_suite():
     count = 0
     for p in (5, 7, 11, 13):
-        w = witness_schur_prime(p)
-        assert is_rainbow_free(w, 1) and w.num_colors() == rb_schur_prime(p).value - 1
+        w = witness_q_p(p, 1)
+        assert is_rainbow_free(w, 1) and w.num_colors() == rb_q_p(p, 1).value - 1
         count += 1
     for n in range(2, 25):
-        w = witness_schur(n)
-        assert is_rainbow_free(w, 1) and w.num_colors() == rb_schur(n).value - 1
+        w = witness_general(n, 1)
+        assert is_rainbow_free(w, 1) and w.num_colors() == rb_general(n, 1).value - 1
         count += 1
     for p in (3, 5, 7, 11, 13):
-        w = witness_k_equals_p(p)
+        w = witness_prime_power(p, 1)
         assert is_rainbow_free(w, p) and w.num_colors() == rb_prime_power(p, 1).value - 1
         count += 1
     primes = [p for p in range(2, 18) if is_prime(p)]

@@ -81,6 +81,18 @@ class TestParseValidation:
         with pytest.raises(CertificateError):
             parse_certificate('{"n": 2, "k": 1, "colors": [false, true]}')
 
+    @pytest.mark.parametrize(
+        "doc",
+        (
+            '{"n": true, "k": 1, "colors": [0]}',
+            '{"n": 1, "k": false, "colors": [0]}',
+            '{"n": true, "k": false, "colors": [0]}',
+        ),
+    )
+    def test_rejects_boolean_n_and_k(self, doc):
+        with pytest.raises(CertificateError):
+            parse_certificate(doc)
+
     def test_rejects_non_dict_meta(self):
         with pytest.raises(CertificateError):
             parse_certificate('{"n": 2, "k": 1, "colors": [0, 1], "meta": 3}')

@@ -13,6 +13,14 @@ from rainbow_lab.certificates import read_certificate
 from rainbow_lab.coloring import Coloring
 
 
+def _env_with_package():
+    """The environment with this package first on PYTHONPATH, for child processes."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(rainbow_lab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -42,7 +50,7 @@ class TestRb:
         monkeypatch.setattr(
             cli,
             "rb_formula",
-            lambda n, k, two_power_table: RbResult(99, Method.SCHUR_FACTORIZATION),
+            lambda n, k, two_power_table: RbResult(99, Method.GENERAL_RECURSION),
         )
         code, _, err = run(capsys, "rb", "--n", "6", "--k", "1", "--method", "both")
         assert code == cli.EXIT_MISMATCH
@@ -56,6 +64,16 @@ class TestRb:
         )
         assert code == cli.EXIT_INCONCLUSIVE
         assert "inconclusive" in out
+
+    @pytest.mark.parametrize("budget", ("nan", "inf"))
+    def test_non_finite_budget_exits_2(self, capsys, budget):
+        code, out, err = run(
+            capsys, "rb", "--n", "5", "--k", "1", "--method", "search",
+            "--budget-secs", budget,
+        )
+        assert code == cli.EXIT_INPUT
+        assert err.startswith("error: time_budget")
+        assert out == ""
 
     def test_formula_route_never_runs_the_search(self, capsys, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -90,7 +108,7 @@ class TestWitnessAndVerify:
     def test_witness_records_construction(self, capsys, tmp_path):
         path = tmp_path / "w.json"
         run(capsys, "witness", "--n", "12", "--k", "1", "--out", str(path))
-        assert read_certificate(path).meta["construction"] == "schur-lift"
+        assert read_certificate(path).meta["construction"] == "general-lift"
 
     def test_witness_oracle_fallback(self, capsys, tmp_path):
         # k = 4 is composite: no construction applies, the oracle must step in
@@ -232,14 +250,28 @@ class TestTable:
         _, out2, _ = run(capsys, "table", "--n-max", "8", "--k", "1")
         assert strip(out1) == strip(out2)
 
+    def test_missing_two_power_table_exits_2_without_traceback(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "rainbow_lab.cli", "table", "--n-max", "5",
+                "--k", "2", "--two-power-table", str(missing),
+            ],
+            capture_output=True,
+            text=True,
+            env=_env_with_package(),
+            timeout=60,
+        )
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.stderr.startswith("error: cannot read value table")
+        assert proc.returncode == cli.EXIT_INPUT
+
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_closed_stdout_exits_141_without_traceback(self, unbuffered):
         # `table ... | head -1`: the reader closes the pipe after one line.
         # Closing the read end before the child writes makes every write
         # fail, whether stdout is block-buffered or unbuffered.
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(rainbow_lab.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = _env_with_package()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"

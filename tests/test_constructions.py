@@ -5,46 +5,46 @@ import pytest
 from rainbow_lab.coloring import Coloring, check_symmetry, is_rainbow_free
 from rainbow_lab.constructions import (
     lift_general,
-    lift_schur,
     max_coloring_q_symmetric,
     witness_general,
-    witness_k_equals_p,
     witness_prime_power,
     witness_q_p,
-    witness_schur,
-    witness_schur_prime,
 )
 from rainbow_lab import constructions
 from rainbow_lab.errors import ConfigError, InputError, UnsupportedCaseError
-from rainbow_lab.formulas import rb_general, rb_q_p, rb_schur, rb_schur_prime
+from rainbow_lab.formulas import rb_general, rb_q_p
 from rainbow_lab.modcore import CyclicInstance
 from rainbow_lab.search import SearchConfig, iter_rainbow_free_colorings, rb_oracle
 
 
 class TestWitnessSchurPrime:
+    """The k = 1 prime witness is witness_q_p with the unit coefficient."""
+
     def test_explicit_forms(self):
-        assert witness_schur_prime(5).colors == (0, 1, 2, 2, 1)
-        assert witness_schur_prime(7).colors == (0, 1, 2, 2, 2, 2, 1)
+        assert witness_q_p(5, 1).colors == (0, 1, 2, 2, 1)
+        assert witness_q_p(7, 1).colors == (0, 1, 2, 2, 2, 2, 1)
 
     def test_color_count_matches_formula(self):
         for p in (5, 7, 11, 13):
-            assert witness_schur_prime(p).num_colors() == rb_schur_prime(p).value - 1
+            assert witness_q_p(p, 1).num_colors() == rb_q_p(p, 1).value - 1
 
     def test_rejects_small_primes(self):
         with pytest.raises(InputError):
-            witness_schur_prime(3)
+            witness_q_p(3, 1)
 
 
 class TestLiftSchur:
+    """The k = 1 lift is lift_general with the unit coefficient."""
+
     def test_examples(self):
         base = Coloring(2, (0, 1))
-        assert lift_schur(base, 5).colors == (0, 2, 3, 3, 2, 1, 2, 3, 3, 2)
-        assert lift_schur(base, 2).colors == (0, 2, 1, 2)
-        assert lift_schur(base, 3).colors == (0, 2, 2, 1, 2, 2)
+        assert lift_general(base, 5, 1).colors == (0, 2, 3, 3, 2, 1, 2, 3, 3, 2)
+        assert lift_general(base, 2, 1).colors == (0, 2, 1, 2)
+        assert lift_general(base, 3, 1).colors == (0, 2, 2, 1, 2, 2)
 
     def test_rejects_rainbow_base(self):
         with pytest.raises(InputError):
-            lift_schur(Coloring(5, (0, 1, 2, 2, 3)), 2)
+            lift_general(Coloring(5, (0, 1, 2, 2, 3)), 2, 1)
 
     def test_preserves_rainbow_freeness_over_all_small_bases(self):
         # every rainbow-free base of Z_t, t <= 6 (not only the canonical ones)
@@ -55,42 +55,46 @@ class TestLiftSchur:
             assert bases
             for base in bases:
                 for p in (2, 3, 5):
-                    lifted = lift_schur(base, p)  # self-verifying
+                    lifted = lift_general(base, p, 1)  # self-verifying
                     added = 1 if p in (2, 3) else 2
                     assert lifted.num_colors() == base.num_colors() + added
 
 
 class TestWitnessSchur:
+    """The k = 1 witness is witness_general with the unit coefficient."""
+
     @pytest.mark.parametrize("n", range(2, 25))
     def test_color_count_matches_formula(self, n):
-        w = witness_schur(n)
+        w = witness_general(n, 1)
         assert is_rainbow_free(w, 1)
-        assert w.num_colors() == rb_schur(n).value - 1
+        assert w.num_colors() == rb_general(n, 1).value - 1
 
     def test_single_factor_delegates(self):
-        assert witness_schur(5) == witness_schur_prime(5)
+        assert witness_general(5, 1) == witness_q_p(5, 1)
 
     def test_rejects_n_below_two(self):
         with pytest.raises(InputError):
-            witness_schur(1)
+            witness_general(1, 1)
 
 
 class TestWitnessKEqualsP:
+    """The maximum coloring of Z_p for k = p is witness_prime_power(p, 1)."""
+
     def test_explicit_forms(self):
-        assert witness_k_equals_p(5).colors == (0, 1, 2, 2, 1)
-        assert witness_k_equals_p(7).colors == (0, 1, 2, 3, 3, 2, 1)
-        assert witness_k_equals_p(3).colors == (0, 1, 1)
+        assert witness_prime_power(5, 1).colors == (0, 1, 2, 2, 1)
+        assert witness_prime_power(7, 1).colors == (0, 1, 2, 3, 3, 2, 1)
+        assert witness_prime_power(3, 1).colors == (0, 1, 1)
 
     @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
     def test_count_and_symmetry(self, p):
-        w = witness_k_equals_p(p)
+        w = witness_prime_power(p, 1)
         assert w.num_colors() == (p + 1) // 2
         assert check_symmetry(w)
         assert is_rainbow_free(w, p)
 
     def test_rejects_two(self):
-        with pytest.raises(InputError):
-            witness_k_equals_p(2)
+        with pytest.raises(UnsupportedCaseError):
+            witness_prime_power(2, 1)
 
 
 class TestWitnessQP:

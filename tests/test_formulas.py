@@ -10,7 +10,6 @@ from rainbow_lab.formulas import (
     rb_prime_power,
     rb_q_p,
     rb_schur,
-    rb_schur_prime,
 )
 from rainbow_lab.modcore import CyclicInstance
 from rainbow_lab.results import Method
@@ -18,40 +17,53 @@ from rainbow_lab.search import rb_oracle
 
 
 class TestRbSchurPrime:
+    """rb(Z_q, 1) is rb_q_p with the unit coefficient."""
+
     def test_values(self):
-        assert rb_schur_prime(2).value == 3
-        assert rb_schur_prime(3).value == 3
-        assert rb_schur_prime(5).value == 4
-        assert rb_schur_prime(13).value == 4
+        assert rb_q_p(2, 1).value == 3
+        assert rb_q_p(3, 1).value == 3
+        assert rb_q_p(5, 1).value == 4
+        assert rb_q_p(13, 1).value == 4
 
     def test_rejects_composite(self):
         with pytest.raises(InputError):
-            rb_schur_prime(9)
+            rb_q_p(9, 1)
 
 
 class TestRbSchur:
+    """rb(Z_n, 1) is rb_general with the unit coefficient."""
+
     def test_values(self):
-        assert rb_schur(12).value == 5  # 2 + 2*1 + 1*1 over 2^2 * 3
-        assert rb_schur(5).value == 4
-        assert rb_schur(8).value == 5  # 2 + 3*1
+        assert rb_general(12, 1).value == 5  # 2 + 2*1 + 1*1 over 2^2 * 3
+        assert rb_general(5, 1).value == 4
+        assert rb_general(8, 1).value == 5  # 2 + 3*1
 
     def test_detail_breakdown(self):
-        result = rb_schur(12)
-        assert result.method is Method.SCHUR_FACTORIZATION
+        result = rb_general(12, 1)
+        assert result.method is Method.GENERAL_RECURSION
         assert result.detail["base"] == 2
-        assert [(t["p"], t["alpha"], t["contribution"]) for t in result.detail["terms"]] == [
+        assert [(t["q"], t["alpha"], t["contribution"]) for t in result.detail["terms"]] == [
             (2, 2, 2),
             (3, 1, 1),
         ]
 
     def test_rejects_n_below_two(self):
         with pytest.raises(InputError):
+            rb_general(1, 1)
+        with pytest.raises(InputError):
             rb_schur(1)
 
     def test_multiplicative_recursion_met_with_equality(self):
         for m in range(2, 13):
             for t in range(2, 13):
-                assert rb_schur(m * t).value == rb_schur(m).value + rb_schur(t).value - 2
+                assert (
+                    rb_general(m * t, 1).value
+                    == rb_general(m, 1).value + rb_general(t, 1).value - 2
+                )
+
+    def test_rb_schur_is_the_unit_case(self):
+        for n in range(2, 40):
+            assert rb_schur(n) == rb_general(n, 1)
 
 
 class TestRbQP:
@@ -162,7 +174,7 @@ class TestRbGeneral:
 
 class TestRbFormula:
     def test_dispatch_on_reduced_coefficient(self):
-        assert rb_formula(7, 8).value == rb_schur(7).value  # 8 = 1 (mod 7)
+        assert rb_formula(7, 8) == rb_general(7, 1)  # 8 = 1 (mod 7)
         assert rb_formula(10, 13).value == rb_general(10, 3).value  # 13 = 3
         assert rb_formula(8, 2, two_power_table={3: 6}).value == 6
 

@@ -20,6 +20,12 @@ class TestSearchConfig:
         with pytest.raises(InputError):
             SearchConfig(time_budget=0)
 
+    @pytest.mark.parametrize("budget", (float("nan"), float("inf")))
+    def test_rejects_non_finite_budget(self, budget):
+        # a nan or infinite deadline is never passed, so the search never stops
+        with pytest.raises(InputError):
+            SearchConfig(time_budget=budget)
+
 
 class TestMaxRainbowFreeR:
     """r_max, the largest rainbow-free r, and its witness, as rb_oracle

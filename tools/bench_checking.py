@@ -32,7 +32,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import rainbow_lab as rl  # noqa: E402
-from rainbow_lab.constructions import witness_schur  # noqa: E402
 
 QS = (11, 13)
 COLORINGS_PER_Q = 4000
@@ -70,7 +69,7 @@ def per_call_us(fn, pairs, loops=LOOPS) -> dict:
 
 
 def full_scan_ms(n: int) -> dict:
-    c = witness_schur(n)
+    c = rl.witness_general(n, 1)
     if rl.find_rainbow_triple(c, 1) is not None:
         raise RuntimeError(f"the Z_{n} witness has a rainbow triple; no full scan to time")
     times = []
