@@ -48,6 +48,12 @@ def cmd_rb(args) -> int:
         formula = rb_formula(args.n, args.k, two_power_table=table)
     if args.method in ("search", "both"):
         search = rb_oracle(inst, SearchConfig(time_budget=args.budget_secs))
+        prunes = search.detail["prunes"]
+        log.info(
+            "prunes: empty domain %d, count bound %d",
+            prunes["empty_domain"],
+            prunes["count_bound"],
+        )
         if not search.conclusive:
             print(
                 f"rb({args.n},{args.k}) >= {search.value} (search inconclusive: "

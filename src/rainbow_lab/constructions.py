@@ -39,6 +39,16 @@ def _pm_power_orbit(q: int, p: int) -> set[int]:
     return orbit
 
 
+def _q_pattern(q: int, p: int, rb: int) -> list[int]:
+    """Colors of the symmetric maximum coloring of Z_q for k=p, given
+    rb = rb(Z_q, p), unverified: {0}, {±p^i}, the rest of Z_q^* when rb = 4,
+    else {0}, Z_q^*."""
+    if rb != 4:
+        return [0] + [1] * (q - 1)
+    orbit = _pm_power_orbit(q, p)
+    return [0 if x == 0 else (1 if x in orbit else 2) for x in range(q)]
+
+
 def witness_q_p(q: int, p: int) -> Coloring:
     """The 3-coloring {0}, {±p^i}, rest of Z_q^* for the rb(Z_q, p) = 4 pairs,
     p = 1 or a prime other than q."""
@@ -52,9 +62,7 @@ def witness_q_p(q: int, p: int) -> Coloring:
         raise InputError(
             f"no rainbow-free 3-coloring of Z_{q} for k={p}: {which}"
         )
-    orbit = _pm_power_orbit(q, p)
-    colors = [0 if x == 0 else (1 if x in orbit else 2) for x in range(q)]
-    return _verified(colors, q, p, f"witness_q_p({q}, {p})")
+    return _verified(_q_pattern(q, p, 4), q, p, f"witness_q_p({q}, {p})")
 
 
 def _load_z9_witness() -> Coloring:
@@ -101,11 +109,12 @@ def witness_prime_power(p: int, alpha: int) -> Coloring:
 def max_coloring_q_symmetric(q: int, p: int) -> Coloring:
     """A maximum rainbow-free coloring of Z_q for k=p with {0} a singleton
     class and every class symmetric."""
-    result = rb_q_p(q, p)
-    if result.value == 4:
-        c = witness_q_p(q, p)
+    rb = rb_q_p(q, p).value
+    colors = _q_pattern(q, p, rb)
+    if rb == 4:
+        c = _verified(colors, q, p, f"max_coloring_q_symmetric({q}, {p})")
     else:
-        c = Coloring(q, (0,) + (1,) * (q - 1))
+        c = Coloring(q, tuple(colors))  # two colors: no triple can be rainbow
     if not check_symmetry(c):
         raise ConstructionError(f"max_coloring_q_symmetric({q}, {p}) is not symmetric")
     return c
@@ -117,6 +126,7 @@ def lift_general(base: Coloring, q: int, p: int) -> Coloring:
 
     Multiples of q inherit the base via x/q; other positions take fresh colors
     by their symmetric maximum pattern mod q, adding rb(Z_q, p) - 2 colors.
+    The pattern is not scanned on its own: the lifted coloring is.
     """
     if not is_prime(q) or q == p:
         raise InputError(f"q={q} must be a prime different from p={p}")
@@ -124,7 +134,7 @@ def lift_general(base: Coloring, q: int, p: int) -> Coloring:
         raise InputError(f"base coloring is not rainbow-free for k={p}")
     t = base.n
     r = base.num_colors()
-    pattern = max_coloring_q_symmetric(q, p)
+    pattern = _q_pattern(q, p, rb_q_p(q, p).value)
     # pattern's nonzero classes already carry ids 1..rb_q_p-2; its {0} class
     # is never hit because q does not divide x here
     colors = []
@@ -132,7 +142,7 @@ def lift_general(base: Coloring, q: int, p: int) -> Coloring:
         if x % q == 0:
             colors.append(base.colors[x // q])
         else:
-            colors.append(r - 1 + pattern.colors[x % q])
+            colors.append(r - 1 + pattern[x % q])
     return _verified(colors, q * t, p, f"lift_general(t={t}, q={q}, p={p})")
 
 

@@ -1,13 +1,14 @@
 """Exhaustive, symmetry-reduced backtracking search over exact colorings.
 
 The ground-truth oracle for rb(Z_n, k): positions 0..n-1 are assigned color
-ids in restricted-growth (canonical) order. A branch is pruned when it
-completes a rainbow triple among the assigned positions, or when forward
-checking shows it cannot reach the number of colors still of interest.
-Triples are solved per position from an O(n) table, so memory is O(n) and
-the time budget covers all of the work. The search is exact when it runs to
-completion; running out of time budget yields a first-class inconclusive
-outcome, never a guess.
+ids in restricted-growth (canonical) order. Forward checking keeps, for
+every later position, the domain of colors it may take without completing a
+rainbow triple; a branch is pruned when a domain empties, or when too few
+positions can still take a new color to reach the number of colors of
+interest. Triples are solved per position from an O(n) table, so memory is
+O(n) and the time budget covers all of the work. The search is exact when it
+runs to completion; running out of time budget yields a first-class
+inconclusive outcome, never a guess.
 """
 from __future__ import annotations
 
@@ -37,11 +38,16 @@ class SearchConfig:
 
 
 class _Status:
-    __slots__ = ("nodes", "exhausted")
+    __slots__ = ("nodes", "exhausted", "empty_domain", "count_bound")
 
     def __init__(self):
         self.nodes = 0
         self.exhausted = True
+        self.empty_domain = 0  # nodes cut because a later domain emptied
+        self.count_bound = 0  # nodes cut because too few colors were reachable
+
+
+_ALL = -1  # a domain no triple has narrowed: every color, a new one too
 
 
 def _iter_canonical(
@@ -58,12 +64,17 @@ def _iter_canonical(
     With improving_only, yields only completions that beat the best r seen so
     far.
 
-    A later position y is *blocked* once a triple {y, a, b} has two assigned,
-    differently colored members a and b: a new color at y would make it
-    rainbow. Blocked positions stay blocked deeper in the tree, so a subtree
-    whose used colors plus unblocked later positions cannot reach the needed
-    r is pruned (forward checking). Triples are solved per position from the
-    O(n) table solutions_by_sum; nothing O(n^2) is stored.
+    Forward checking: dom[y] is the bitmask of colors a later position y may
+    still take, _ALL until a triple {pos, a, y} with a < pos < y and
+    differently colored pos and a narrows it to {color(pos), color(a)}; any
+    other color at y would make the triple rainbow. A node whose assignment
+    empties a domain is pruned, and the candidates at pos are the colors of
+    dom[pos]. Every triple is seen from its middle position, so a completed
+    coloring is rainbow-free without a separate test. A later position whose
+    domain is not _ALL cannot take a new color, so a subtree whose used
+    colors plus _ALL later positions cannot reach the needed r is pruned.
+    Triples are solved per position from the O(n) table solutions_by_sum;
+    nothing O(n^2) is stored.
     """
     n, k = inst.n, inst.k
     if max_r is not None and max_r < 1:
@@ -71,34 +82,37 @@ def _iter_canonical(
     sols = solutions_by_sum(n, k)
     colors = [-1] * n
     used_before = [0] * (n + 1)
-    cand = [0] * n
-    # blocker[y]: shallowest depth whose assignment blocked y, n if unblocked.
-    # trail lists the positions blocked since the depth's mark, so each
-    # position sits on the trail at most once.
-    blocker = [n] * n
+    cand = [0] * n  # bitmask of the colors pos has still to try
+    cand[0] = 1
+    dom = [_ALL] * n
+    # trail: flat (y, old dom[y]) pairs, undone in reverse down to the
+    # depth's mark; a domain narrows at most twice along a path (_ALL, a
+    # pair, one color), so the trail holds at most 2n pairs
     trail: list[int] = []
     mark = [0] * n
-    free_before = [0] * n  # unblocked positions after pos, before assigning it
+    free_before = [0] * n  # later positions with domain _ALL, before assigning pos
     free_before[0] = n - 1
     need = min_r  # completions must reach this many colors to be reported
-    nodes = 0
+    nodes = empty_domain = count_bound = 0
     work = 0  # partner visits, the unit of cost the budget is checked by
     next_check = _BUDGET_CHECK_WORK
     pos = 0
     last = n - 1
     while pos >= 0:
         m = mark[pos]
-        if len(trail) > m:
-            for y in trail[m:]:
-                blocker[y] = n
+        t = len(trail)
+        if t > m:
+            while t > m:
+                t -= 2
+                dom[trail[t]] = trail[t + 1]
             del trail[m:]
-        u = used_before[pos]
-        col = cand[pos]
-        limit = u if (max_r is None or u < max_r) and blocker[pos] == n else u - 1
-        if col > limit:
+        rem = cand[pos]
+        if not rem:
             pos -= 1
             continue
-        cand[pos] = col + 1
+        bit = rem & -rem
+        cand[pos] = rem ^ bit
+        col = bit.bit_length() - 1
         nodes += 1
         work += pos + 1
         if work >= next_check:
@@ -107,33 +121,41 @@ def _iter_canonical(
                 status.exhausted = False
                 break
         colors[pos] = col
+        u = used_before[pos]
         nu = u + 1 if col == u else u
         free = free_before[pos]
         slack = need - nu  # prune once free < slack
         if free < slack:
+            count_bound += 1
             continue
         if nu > 1:
-            # one pass over the differently colored partners a: a third
-            # coordinate y < pos closes a rainbow triple, y > pos gets blocked
+            # one pass over the differently colored partners a: each third
+            # coordinate y > pos keeps only the colors of pos and a
             kp = k * pos
             pruned = False
             for a in range(pos):
                 ca = colors[a]
                 if ca == col:
                     continue
+                pair = bit | (1 << ca)
                 for y in sols[(pos + a) % n] + ((kp - a) % n, (k * a - pos) % n):
-                    if y < pos:
-                        cy = colors[y]
-                        if cy != col and cy != ca:
-                            pruned = True
-                            break
-                    elif y > pos and blocker[y] == n:
-                        blocker[y] = pos
-                        trail.append(y)
-                        free -= 1
-                        if free < slack:
-                            pruned = True
-                            break
+                    if y > pos:
+                        d = dom[y]
+                        nd = d & pair
+                        if nd != d:
+                            if not nd:
+                                empty_domain += 1
+                                pruned = True
+                                break
+                            trail.append(y)
+                            trail.append(d)
+                            dom[y] = nd
+                            if d == _ALL:
+                                free -= 1
+                                if free < slack:
+                                    count_bound += 1
+                                    pruned = True
+                                    break
                 if pruned:
                     break
             if pruned:
@@ -145,10 +167,17 @@ def _iter_canonical(
             continue
         used_before[pos + 1] = nu
         pos += 1
-        cand[pos] = 0
         mark[pos] = len(trail)
-        free_before[pos] = free - (blocker[pos] == n)
+        d = dom[pos]
+        if d == _ALL:
+            free_before[pos] = free - 1
+            cand[pos] = (2 << nu) - 1 if max_r is None or nu < max_r else (1 << nu) - 1
+        else:
+            free_before[pos] = free
+            cand[pos] = d
     status.nodes += nodes
+    status.empty_domain += empty_domain
+    status.count_bound += count_bound
 
 
 def rb_oracle(inst: CyclicInstance, cfg: Optional[SearchConfig] = None) -> RbResult:
@@ -179,6 +208,10 @@ def rb_oracle(inst: CyclicInstance, cfg: Optional[SearchConfig] = None) -> RbRes
             "nodes_explored": status.nodes,
             "elapsed": time.monotonic() - start,
             "exhausted": status.exhausted,
+            "prunes": {
+                "empty_domain": status.empty_domain,
+                "count_bound": status.count_bound,
+            },
         },
         conclusive=status.exhausted,
         witness=Coloring(inst.n, best) if best is not None else None,

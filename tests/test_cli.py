@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -64,6 +65,20 @@ class TestRb:
         )
         assert code == cli.EXIT_INCONCLUSIVE
         assert "inconclusive" in out
+
+    def test_verbose_logs_prune_counts(self, capsys, caplog):
+        caplog.set_level(logging.INFO, logger="rainbow_lab")
+        code, out, _ = run(
+            capsys, "-v", "rb", "--n", "21", "--k", "3", "--method", "search"
+        )
+        assert code == cli.EXIT_OK
+        assert out.startswith("rb(21,3) = 4 [oracle: ") and out.count("\n") == 1
+        assert any(
+            r.levelno == logging.INFO
+            and r.getMessage().startswith("prunes: empty domain ")
+            and ", count bound " in r.getMessage()
+            for r in caplog.records
+        )
 
     @pytest.mark.parametrize("budget", ("nan", "inf"))
     def test_non_finite_budget_exits_2(self, capsys, budget):

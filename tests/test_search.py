@@ -4,8 +4,9 @@ import tracemalloc
 import pytest
 
 from conftest import brute_rainbow_free, canonical_colorings, reference_search
-from rainbow_lab.coloring import is_canonical, is_rainbow_free
+from rainbow_lab.coloring import find_rainbow_triple, is_canonical, is_rainbow_free
 from rainbow_lab.errors import InputError, SearchInconclusiveError
+from rainbow_lab.formulas import rb_formula
 from rainbow_lab.modcore import CyclicInstance
 from rainbow_lab.search import (
     SearchConfig,
@@ -83,6 +84,12 @@ class TestRbOracle:
     def test_inconclusive_on_tiny_budget(self):
         result = rb_oracle(CyclicInstance(26, 1), SearchConfig(time_budget=0.005))
         assert not result.conclusive
+
+    def test_prune_counts_by_reason(self):
+        prunes = rb_oracle(CyclicInstance(21, 3)).detail["prunes"]
+        assert set(prunes) == {"empty_domain", "count_bound"}
+        assert all(v >= 0 for v in prunes.values())
+        assert any(prunes.values())
 
 
 class TestEnumerateRainbowFree:
@@ -164,6 +171,28 @@ class TestReferenceCrossCheck:
             if n <= 12:
                 found = [c.colors for c in iter_rainbow_free_colorings(inst, min_r=3)]
                 assert found == kept, (n, k)
+
+
+class TestDomainsSettleHardCases:
+    """k = n - 1 cases that need per-position color domains: with only a
+    "no new color" flag per later position, Z_28 k=27 took 31 s and Z_30
+    k=29 ran out of a 40 s budget."""
+
+    BUDGET = SearchConfig(time_budget=10.0)
+
+    @pytest.mark.parametrize("n", (24, 30))
+    def test_rb_matches_formula(self, n):
+        res = rb_oracle(CyclicInstance(n, n - 1), self.BUDGET)
+        assert res.conclusive
+        assert res.value == rb_formula(n, n - 1).value == 6
+
+    @pytest.mark.parametrize("n", (26, 28))
+    def test_witness_is_exact_and_rainbow_free(self, n):
+        res = rb_oracle(CyclicInstance(n, n - 1), self.BUDGET)
+        assert res.conclusive
+        r_max = res.detail["r_max"]
+        assert res.witness.is_exact_with(r_max)
+        assert find_rainbow_triple(res.witness, n - 1) is None
 
 
 class TestBudgetAndMemory:
