@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
@@ -272,13 +273,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main() call and reused after it.
+
+    parse_args keeps no state between calls. It is built at the first call,
+    not at import, because it binds the cmd_* handlers it dispatches to.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(message)s",
-    )
+    args = _parser().parse_args(argv)
+    # -v and the log stream belong to this call: the handler writes to the
+    # current sys.stderr, and the root logger is left to the embedding program
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+    level = log.level
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
+    log.addHandler(handler)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe must fail here, not at exit
@@ -293,6 +306,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

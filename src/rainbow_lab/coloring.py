@@ -23,7 +23,7 @@ from .modcore import (
 Palette = frozenset[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Coloring:
     """A length-n assignment of small non-negative color ids to Z_n."""
 
@@ -33,13 +33,12 @@ class Coloring:
     def __post_init__(self):
         if self.n < 1:
             raise InputError(f"modulus must be positive, got {self.n}")
-        if len(self.colors) != self.n:
-            raise InputError(
-                f"expected {self.n} colors, got {len(self.colors)}"
-            )
-        if any(c < 0 for c in self.colors):
+        colors = tuple(self.colors)  # no copy when it is already a tuple
+        if len(colors) != self.n:
+            raise InputError(f"expected {self.n} colors, got {len(colors)}")
+        if min(colors) < 0:
             raise InputError("color ids must be non-negative")
-        object.__setattr__(self, "colors", tuple(self.colors))
+        object.__setattr__(self, "colors", colors)
 
     def num_colors(self) -> int:
         return len(set(self.colors))

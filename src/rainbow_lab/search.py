@@ -98,86 +98,89 @@ def _iter_canonical(
     next_check = _BUDGET_CHECK_WORK
     pos = 0
     last = n - 1
-    while pos >= 0:
-        m = mark[pos]
-        t = len(trail)
-        if t > m:
-            while t > m:
-                t -= 2
-                dom[trail[t]] = trail[t + 1]
-            del trail[m:]
-        rem = cand[pos]
-        if not rem:
-            pos -= 1
-            continue
-        bit = rem & -rem
-        cand[pos] = rem ^ bit
-        col = bit.bit_length() - 1
-        nodes += 1
-        work += pos + 1
-        if work >= next_check:
-            next_check = work + _BUDGET_CHECK_WORK
-            if deadline is not None and time.monotonic() > deadline:
-                status.exhausted = False
-                break
-        colors[pos] = col
-        u = used_before[pos]
-        nu = u + 1 if col == u else u
-        free = free_before[pos]
-        slack = need - nu  # prune once free < slack
-        if free < slack:
-            count_bound += 1
-            continue
-        if nu > 1:
-            # one pass over the differently colored partners a: each third
-            # coordinate y > pos keeps only the colors of pos and a
-            kp = k * pos
-            pruned = False
-            for a in range(pos):
-                ca = colors[a]
-                if ca == col:
-                    continue
-                pair = bit | (1 << ca)
-                for y in sols[(pos + a) % n] + ((kp - a) % n, (k * a - pos) % n):
-                    if y > pos:
-                        d = dom[y]
-                        nd = d & pair
-                        if nd != d:
-                            if not nd:
-                                empty_domain += 1
-                                pruned = True
-                                break
-                            trail.append(y)
-                            trail.append(d)
-                            dom[y] = nd
-                            if d == _ALL:
-                                free -= 1
-                                if free < slack:
-                                    count_bound += 1
+    try:
+        while pos >= 0:
+            m = mark[pos]
+            t = len(trail)
+            if t > m:
+                while t > m:
+                    t -= 2
+                    dom[trail[t]] = trail[t + 1]
+                del trail[m:]
+            rem = cand[pos]
+            if not rem:
+                pos -= 1
+                continue
+            bit = rem & -rem
+            cand[pos] = rem ^ bit
+            col = bit.bit_length() - 1
+            nodes += 1
+            work += pos + 1
+            if work >= next_check:
+                next_check = work + _BUDGET_CHECK_WORK
+                if deadline is not None and time.monotonic() > deadline:
+                    status.exhausted = False
+                    break
+            colors[pos] = col
+            u = used_before[pos]
+            nu = u + 1 if col == u else u
+            free = free_before[pos]
+            slack = need - nu  # prune once free < slack
+            if free < slack:
+                count_bound += 1
+                continue
+            if nu > 1:
+                # one pass over the differently colored partners a: each third
+                # coordinate y > pos keeps only the colors of pos and a
+                kp = k * pos
+                pruned = False
+                for a in range(pos):
+                    ca = colors[a]
+                    if ca == col:
+                        continue
+                    pair = bit | (1 << ca)
+                    for y in sols[(pos + a) % n] + ((kp - a) % n, (k * a - pos) % n):
+                        if y > pos:
+                            d = dom[y]
+                            nd = d & pair
+                            if nd != d:
+                                if not nd:
+                                    empty_domain += 1
                                     pruned = True
                                     break
+                                trail.append(y)
+                                trail.append(d)
+                                dom[y] = nd
+                                if d == _ALL:
+                                    free -= 1
+                                    if free < slack:
+                                        count_bound += 1
+                                        pruned = True
+                                        break
+                    if pruned:
+                        break
                 if pruned:
-                    break
-            if pruned:
+                    continue
+            if pos == last:
+                yield nu, tuple(colors)
+                if improving_only:
+                    need = nu + 1
                 continue
-        if pos == last:
-            yield nu, tuple(colors)
-            if improving_only:
-                need = nu + 1
-            continue
-        used_before[pos + 1] = nu
-        pos += 1
-        mark[pos] = len(trail)
-        d = dom[pos]
-        if d == _ALL:
-            free_before[pos] = free - 1
-            cand[pos] = (2 << nu) - 1 if max_r is None or nu < max_r else (1 << nu) - 1
-        else:
-            free_before[pos] = free
-            cand[pos] = d
-    status.nodes += nodes
-    status.empty_domain += empty_domain
-    status.count_bound += count_bound
+            used_before[pos + 1] = nu
+            pos += 1
+            mark[pos] = len(trail)
+            d = dom[pos]
+            if d == _ALL:
+                free_before[pos] = free - 1
+                cand[pos] = (2 << nu) - 1 if max_r is None or nu < max_r else (1 << nu) - 1
+            else:
+                free_before[pos] = free
+                cand[pos] = d
+    finally:
+        # also when the caller closes the generator before the loop ends
+        status.nodes += nodes
+        status.empty_domain += empty_domain
+        status.count_bound += count_bound
 
 
 def rb_oracle(inst: CyclicInstance, cfg: Optional[SearchConfig] = None) -> RbResult:

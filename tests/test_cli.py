@@ -317,3 +317,80 @@ class TestParser:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             cli.main([])
+
+
+class TestRepeatedCalls:
+    """main() called many times in one process, as an embedding program does."""
+
+    def test_parser_built_once(self, capsys, monkeypatch, tmp_path):
+        import argparse
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        path = tmp_path / "w.json"
+        code, _, _ = run(capsys, "witness", "--n", "10", "--k", "1", "--out", str(path))
+        assert code == cli.EXIT_OK
+        after_first = len(built)
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == cli.EXIT_OK and out.startswith("rainbow-free: n=10 k=1")
+        assert len(built) == after_first
+
+    def test_options_do_not_leak_into_the_next_call(self, capsys, tmp_path):
+        path = tmp_path / "w.json"
+        run(capsys, "witness", "--n", "12", "--k", "1", "--out", str(path))
+        code, out, _ = run(capsys, "verify", str(path), "--palettes", "3")
+        assert code == cli.EXIT_OK and "P_0 (mod 3)" in out
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == cli.EXIT_OK
+        assert out == "rainbow-free: n=12 k=1 colors=4 (exact)\n"
+
+        code, out, _ = run(capsys, "rb", "--n", "12", "--k", "1", "--method", "formula")
+        assert code == cli.EXIT_OK and "formula=search" not in out
+        code, out, _ = run(capsys, "rb", "--n", "12", "--k", "1")
+        assert code == cli.EXIT_OK
+        assert out == "rb(12,1) = 5, formula=search\n"
+
+    def test_verbose_applies_to_each_call(self, capsys):
+        argv = ["rb", "--n", "9", "--k", "3", "--method", "search"]
+        code, _, err = run(capsys, *argv)
+        assert code == cli.EXIT_OK and err == ""
+        code, _, err = run(capsys, "-v", *argv)
+        assert code == cli.EXIT_OK and err.startswith("INFO prunes: empty domain ")
+        code, _, err = run(capsys, *argv)
+        assert code == cli.EXIT_OK and err == ""
+
+    def test_each_call_logs_to_its_own_stderr(self):
+        # a fresh interpreter, so no earlier call or test harness has set up logging
+        script = (
+            "import contextlib, io, json, logging\n"
+            "from rainbow_lab import cli\n"
+            "argv = ['rb', '--n', '9', '--k', '3', '--method', 'search']\n"
+            "streams = []\n"
+            "for extra in ([], ['-v'], ['-v']):\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(extra + argv) == 0\n"
+            "    streams.append(err.getvalue())\n"
+            "root, pkg = logging.getLogger(), logging.getLogger('rainbow_lab')\n"
+            "print(json.dumps([streams, len(root.handlers), root.level,\n"
+            "                  len(pkg.handlers), pkg.level]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=_env_with_package(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        streams, root_handlers, root_level, pkg_handlers, pkg_level = json.loads(proc.stdout)
+        quiet, first, second = streams
+        assert quiet == ""
+        for err in (first, second):
+            assert err.startswith("INFO prunes: empty domain ") and err.count("\n") == 1
+        # the root logger is untouched, and the package logger is restored
+        assert (root_handlers, root_level) == (0, logging.WARNING)
+        assert (pkg_handlers, pkg_level) == (0, logging.NOTSET)

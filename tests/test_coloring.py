@@ -26,12 +26,29 @@ from rainbow_lab.search import enumerate_rainbow_free
 
 class TestColoring:
     def test_length_mismatch_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^expected 3 colors, got 2$"):
             Coloring(3, (0, 1))
 
     def test_negative_color_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^color ids must be non-negative$"):
             Coloring(2, (0, -1))
+
+    @pytest.mark.parametrize("n", (0, -2))
+    def test_nonpositive_modulus_rejected(self, n):
+        with pytest.raises(InputError, match=rf"^modulus must be positive, got {n}$"):
+            Coloring(n, ())
+
+    def test_list_input_stored_as_tuple(self):
+        c = Coloring(3, [0, 1, 1])
+        assert type(c.colors) is tuple and c.colors == (0, 1, 1)
+        assert c == Coloring(3, (0, 1, 1)) and hash(c) == hash(Coloring(3, (0, 1, 1)))
+
+    def test_no_instance_dict(self):
+        # many small colorings are built per check; slots keep each one small
+        c = Coloring(2, (0, 1))
+        assert not hasattr(c, "__dict__")
+        with pytest.raises(AttributeError):
+            c.colors = (1, 0)
 
     def test_num_colors_and_classes(self):
         c = Coloring(5, (0, 1, 2, 2, 1))

@@ -1,3 +1,4 @@
+import itertools
 import time
 import tracemalloc
 
@@ -7,6 +8,7 @@ from conftest import brute_rainbow_free, canonical_colorings, reference_search
 from rainbow_lab.coloring import find_rainbow_triple, is_canonical, is_rainbow_free
 from rainbow_lab.errors import InputError, SearchInconclusiveError
 from rainbow_lab.formulas import rb_formula
+from rainbow_lab import search
 from rainbow_lab.modcore import CyclicInstance
 from rainbow_lab.search import (
     SearchConfig,
@@ -138,6 +140,36 @@ class TestEnumerateRainbowFree:
             for c in enumerate_rainbow_free(inst, r)
         }
         assert combined == per_r
+
+
+class TestCountsOfAClosedEnumeration:
+    """Node and prune counts reach the status record when the caller stops early."""
+
+    def test_kernel_closed_early_counts_its_nodes(self):
+        status = search._Status()
+        stream = search._iter_canonical(CyclicInstance(18, 1), status, min_r=3)
+        assert len(list(itertools.islice(stream, 100))) == 100
+        stream.close()
+        assert status.nodes >= 100
+        full = search._Status()
+        for _ in search._iter_canonical(CyclicInstance(18, 1), full, min_r=3):
+            pass
+        assert status.nodes < full.nodes
+        assert status.empty_domain + status.count_bound > 0
+
+    def test_public_enumeration_closed_early_counts_its_nodes(self, monkeypatch):
+        recorded = []
+
+        class Recorded(search._Status):
+            def __init__(self):
+                super().__init__()
+                recorded.append(self)
+
+        monkeypatch.setattr(search, "_Status", Recorded)
+        stream = iter_rainbow_free_colorings(CyclicInstance(18, 1), min_r=3)
+        next(stream)
+        stream.close()
+        assert len(recorded) == 1 and recorded[0].nodes > 0
 
 
 class TestBruteForceCrossCheck:
