@@ -32,7 +32,6 @@ from .constructions import (
 )
 from .errors import (
     CertificateError,
-    ConfigError,
     ConstructionError,
     InputError,
     RainbowLabError,
@@ -40,7 +39,6 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .formulas import (
-    load_two_power_table,
     rb_formula,
     rb_general,
     rb_prime_power,

@@ -18,14 +18,8 @@ from . import __version__
 from .certificates import make_certificate, read_certificate, write_certificate
 from .coloring import find_rainbow_triple, residue_palettes
 from .constructions import witness_general
-from .errors import (
-    CertificateError,
-    ConfigError,
-    InputError,
-    RainbowLabError,
-    UnsupportedCaseError,
-)
-from .formulas import load_two_power_table, rb_formula
+from .errors import CertificateError, RainbowLabError, UnsupportedCaseError
+from .formulas import rb_formula
 from .modcore import CyclicInstance, is_prime
 from .search import SearchConfig, rb_oracle
 
@@ -45,8 +39,7 @@ def cmd_rb(args) -> int:
     inst = CyclicInstance(args.n, args.k)
     formula = search = None
     if args.method in ("formula", "both"):
-        table = load_two_power_table(args.two_power_table) if args.two_power_table else None
-        formula = rb_formula(args.n, args.k, two_power_table=table)
+        formula = rb_formula(args.n, args.k)
     if args.method in ("search", "both"):
         search = rb_oracle(inst, SearchConfig(time_budget=args.budget_secs))
         prunes = search.detail["prunes"]
@@ -92,7 +85,7 @@ def _construct_witness(n: int, k: int, budget: float):
     if inst.k == 1 or is_prime(inst.k):
         try:
             return witness_general(n, inst.k), "general-lift"
-        except (UnsupportedCaseError, InputError):
+        except UnsupportedCaseError:
             pass
     result = rb_oracle(inst, SearchConfig(time_budget=budget))
     return (result.witness if result.conclusive else None), "oracle-search"
@@ -154,12 +147,8 @@ def cmd_verify(args) -> int:
         return EXIT_RAINBOW
     print(f"rainbow-free: n={cert.n} k={cert.k} colors={r} (exact)")
     if args.palettes is not None:
-        t = args.palettes
-        if t < 1 or cert.n % t != 0:
-            print(f"error: --palettes {t} does not divide n={cert.n}", file=sys.stderr)
-            return EXIT_INPUT
-        for i, p in enumerate(residue_palettes(c, t)):
-            print(f"P_{i} (mod {t}) = {sorted(p)}")
+        for i, p in enumerate(residue_palettes(c, args.palettes)):
+            print(f"P_{i} (mod {args.palettes}) = {sorted(p)}")
     return EXIT_OK
 
 
@@ -172,17 +161,14 @@ def cmd_table(args) -> int:
         return EXIT_INPUT
     rows = []
     any_inconclusive = False
-    table = load_two_power_table(args.two_power_table) if args.two_power_table else None
     for n in range(2, args.n_max + 1):
-        # per-row: a prime k may reduce mod n to 0 or a composite, where no
-        # closed form applies; such rows are search-only with a blank formula
+        # per-row: a prime k may reduce mod n to 0 or a composite, and k = 2
+        # has no closed form once 2^6 | n; such rows are search-only with a
+        # blank formula
         try:
-            formula_value = rb_formula(n, args.k, two_power_table=table).value
+            formula_value = rb_formula(n, args.k).value
         except UnsupportedCaseError:
             formula_value = ""
-        except ConfigError as exc:
-            print(f"error at n={n}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
         search = rb_oracle(
             CyclicInstance(n, args.k),
             SearchConfig(time_budget=args.budget_secs),
@@ -244,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rb.add_argument("--n", type=int, required=True)
     p_rb.add_argument("--k", type=int, required=True)
     p_rb.add_argument("--method", choices=["formula", "search", "both"], default="both")
-    p_rb.add_argument("--two-power-table", help="JSON table of rb(Z_{2^a}, 2) values")
     add_common(p_rb)
     p_rb.set_defaults(func=cmd_rb)
 
@@ -267,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--n-max", type=int, required=True)
     p_tab.add_argument("--k", type=int, required=True)
     p_tab.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_tab.add_argument("--two-power-table", help="JSON table of rb(Z_{2^a}, 2) values")
     add_common(p_tab)
     p_tab.set_defaults(func=cmd_table)
     return parser

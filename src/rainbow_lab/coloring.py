@@ -57,9 +57,6 @@ class Coloring:
         """True iff the coloring uses exactly the colors {0, ..., r-1}."""
         return set(self.colors) == set(range(r))
 
-    def canonical(self) -> "Coloring":
-        return Coloring(self.n, canonicalize(self.colors))
-
 
 def canonicalize(colors) -> tuple[int, ...]:
     """Relabel into restricted-growth form: scanning left to right, the first

@@ -10,15 +10,14 @@ the rest, and witness_general(n, 1) lifts it over the prime factors of n.
 """
 from __future__ import annotations
 
-import json
-from importlib import resources
-
 from .coloring import Coloring, check_symmetry, is_rainbow_free
-from .errors import ConfigError, ConstructionError, InputError, UnsupportedCaseError
+from .errors import ConstructionError, InputError, UnsupportedCaseError
 from .formulas import rb_q_p
 from .modcore import is_prime, prime_factorize
 
-_Z9_WITNESS_RESOURCE = "z9_k3_witness.json"
+# The exhaustive oracle's lex-least maximum coloring of Z_9 for k = 3;
+# tests/test_constructions.py re-derives it.
+_Z9_WITNESS = (0, 1, 1, 0, 2, 2, 0, 1, 1)
 
 
 def _verified(colors: list[int], n: int, k: int, what: str) -> Coloring:
@@ -65,20 +64,6 @@ def witness_q_p(q: int, p: int) -> Coloring:
     return _verified(_q_pattern(q, p, 4), q, p, f"witness_q_p({q}, {p})")
 
 
-def _load_z9_witness() -> Coloring:
-    """The packaged maximum 3-coloring of Z_9 for k=3 (from the search oracle)."""
-    try:
-        raw = json.loads(
-            resources.files("rainbow_lab").joinpath("data", _Z9_WITNESS_RESOURCE).read_text()
-        )
-        return Coloring(9, tuple(raw["colors"]))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"packaged Z_9 witness data/{_Z9_WITNESS_RESOURCE} is missing or "
-            f"malformed: {exc!r}"
-        ) from exc
-
-
 def witness_prime_power(p: int, alpha: int) -> Coloring:
     """Maximum coloring of Z_{p^alpha} for k=p.
 
@@ -86,8 +71,8 @@ def witness_prime_power(p: int, alpha: int) -> Coloring:
     for alpha = 1 that is c(x) = min(x, p-x), rainbow-free because every
     solution of x1 + x2 = p*x3 in Z_p has x2 = -x1.
     p = 3, alpha = 1: the 2-coloring [0, 1, 1]. p = 3, alpha >= 2: repeat the
-    packaged maximum 3-coloring of Z_9 (obtained once from the search oracle)
-    through x mod 9; ConfigError if that data file is missing or malformed.
+    built-in maximum 3-coloring of Z_9 (the search oracle's witness) through
+    x mod 9.
     """
     if p == 2:
         raise UnsupportedCaseError("k = 2 witnesses are outside the constructions")
@@ -101,8 +86,7 @@ def witness_prime_power(p: int, alpha: int) -> Coloring:
     elif alpha == 1:
         colors = [0, 1, 1]
     else:
-        w9 = _load_z9_witness()
-        colors = [w9.colors[x % 9] for x in range(n)]
+        colors = [_Z9_WITNESS[x % 9] for x in range(n)]
     return _verified(colors, n, p, f"witness_prime_power({p}, {alpha})")
 
 

@@ -13,13 +13,10 @@ class UnsupportedCaseError(RainbowLabError):
     """The requested value is outside the implemented formula range.
 
     Raised by rb_formula for a coefficient that is neither 1 nor prime mod n,
-    and by rb_prime_power for p = 2: rb(Z_{2^a}, 2) has no closed form and
-    comes from a value table through rb_general.
+    by rb_general for p = 2 when 2^6 divides n (rb(Z_{2^a}, 2) is built in
+    only for a <= 5), by rb_prime_power for p = 2, and by the witness
+    builders for p = 2 when 2 divides n.
     """
-
-
-class ConfigError(RainbowLabError):
-    """A required configuration artifact (e.g. the k=2 value table) is missing or invalid."""
 
 
 class SearchInconclusiveError(RainbowLabError):

@@ -7,22 +7,20 @@ the recursion when that is 1 or a prime. k = 1 is the unit case of the
 recursion: 1 has order 1 in every Z_q^*, so rb(Z_q, 1) is 3 for q in {2, 3}
 and 4 otherwise, no prime factor equals 1, and the recursion becomes the
 Schur factorization formula 2 + sum of alpha_i * (rb(Z_{q_i}, 1) - 2). The k = 2
-power-of-two base rb(Z_{2^a}, 2) has no closed form; it comes from an
-injected value table or, for a <= 4, from a built-in one. This module never
+power-of-two base rb(Z_{2^a}, 2) has no closed form: for a <= 5 it is a
+built-in value the exhaustive oracle certifies, and for larger a the
+recursion raises UnsupportedCaseError. This module reads no file and never
 runs the search: the oracle checks these values, it does not supply them.
 """
 from __future__ import annotations
 
-import json
-from typing import Mapping, Optional
-
-from .errors import ConfigError, InputError, UnsupportedCaseError
+from .errors import InputError, UnsupportedCaseError
 from .modcore import CyclicInstance, is_prime, multiplicative_order, prime_factorize
 from .results import Method, RbResult
 
-# rb(Z_{2^a}, 2) for a = 1..4, the values the exhaustive oracle gives (each in
-# a few milliseconds; tests/test_formulas.py re-derives them).
-_TWO_POWER_RB = {1: 3, 2: 3, 3: 3, 4: 3}
+# rb(Z_{2^a}, 2) for a = 1..5, the values the exhaustive oracle gives (a = 5
+# in 0.06 s, 14K nodes; tests/test_formulas.py re-derives every entry).
+_TWO_POWER_RB = {1: 3, 2: 3, 3: 3, 4: 3, 5: 3}
 
 
 def rb_q_p(q: int, p: int) -> RbResult:
@@ -58,8 +56,8 @@ def rb_prime_power(p: int, alpha: int) -> RbResult:
     """
     if p == 2:
         raise UnsupportedCaseError(
-            "rb(Z_{2^a}, 2) is outside the closed forms; it comes from a value "
-            "table through rb_general"
+            "rb(Z_{2^a}, 2) is outside the closed forms; rb_general knows the "
+            "oracle-certified values for a <= 5"
         )
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
@@ -74,48 +72,14 @@ def rb_prime_power(p: int, alpha: int) -> RbResult:
     )
 
 
-def load_two_power_table(path) -> dict[int, int]:
-    """Load a JSON map alpha -> rb(Z_{2^alpha}, 2), validating every entry."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read value table {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("value table must be a JSON object mapping alpha to rb")
-    table: dict[int, int] = {}
-    for key, value in raw.items():
-        try:
-            alpha = int(key)
-        except ValueError:
-            raise ConfigError(f"non-integer exponent key {key!r} in value table")
-        if not isinstance(value, int) or not 2 <= value <= 2**alpha + 1:
-            raise ConfigError(
-                f"table entry alpha={alpha} must be an integer in [2, {2**alpha + 1}], got {value!r}"
-            )
-        table[alpha] = value
-    return table
-
-
-def _rb_two_power(alpha: int, table: Optional[Mapping[int, int]]) -> int:
-    if table is not None and alpha in table:
-        return table[alpha]
-    if alpha in _TWO_POWER_RB:
-        return _TWO_POWER_RB[alpha]
-    raise ConfigError(
-        f"rb(Z_{{2^{alpha}}}, 2) requires an injected value table "
-        f"(built-in values stop at alpha={max(_TWO_POWER_RB)})"
-    )
-
-
-def rb_general(
-    n: int, p: int, two_power_table: Optional[Mapping[int, int]] = None
-) -> RbResult:
+def rb_general(n: int, p: int) -> RbResult:
     """rb(Z_n, p) for p = 1 or prime p via the recursion over
     n = p^alpha * prod q_i^{alpha_i}:
 
     rb(Z_{p^alpha}, p) + sum of alpha_i * (rb(Z_{q_i}, p) - 2), with the
-    alpha = 0 base taken as 2. For p = 1, alpha is always 0.
+    alpha = 0 base taken as 2. For p = 1, alpha is always 0. For p = 2 the
+    base is built in for alpha <= 5; a larger alpha raises
+    UnsupportedCaseError.
     """
     if not (p == 1 or is_prime(p)):
         raise InputError(f"coefficient {p} is neither 1 nor prime")
@@ -137,7 +101,12 @@ def rb_general(
     if alpha == 0:
         base = 2
     elif p == 2:
-        base = _rb_two_power(alpha, two_power_table)
+        if alpha not in _TWO_POWER_RB:
+            raise UnsupportedCaseError(
+                f"no closed form for rb(Z_{n}, 2): rb(Z_{{2^{alpha}}}, 2) is known "
+                f"only for exponents up to {max(_TWO_POWER_RB)}"
+            )
+        base = _TWO_POWER_RB[alpha]
     else:
         base = rb_prime_power(p, alpha).value
     return RbResult(
@@ -152,14 +121,13 @@ def rb_schur(n: int) -> RbResult:
     return rb_general(n, 1)
 
 
-def rb_formula(
-    n: int, k: int, two_power_table: Optional[Mapping[int, int]] = None
-) -> RbResult:
+def rb_formula(n: int, k: int) -> RbResult:
     """rb(Z_n, k) from the closed forms: rb_general when k mod n is 1 or a
-    prime. Any other coefficient raises UnsupportedCaseError."""
+    prime. Any other coefficient, and k = 2 with 2^6 | n, raises
+    UnsupportedCaseError."""
     k_red = CyclicInstance(n, k).k
     if k_red == 1 or is_prime(k_red):
-        return rb_general(n, k_red, two_power_table=two_power_table)
+        return rb_general(n, k_red)
     raise UnsupportedCaseError(
         f"no closed form for (n={n}, k={k}): the formulas cover k = 1 mod n "
         "and prime k mod n only"

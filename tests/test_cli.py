@@ -12,6 +12,7 @@ import rainbow_lab
 from rainbow_lab import cli, formulas, search
 from rainbow_lab.certificates import read_certificate
 from rainbow_lab.coloring import Coloring
+from rainbow_lab.errors import InputError
 
 
 def _env_with_package():
@@ -51,7 +52,7 @@ class TestRb:
         monkeypatch.setattr(
             cli,
             "rb_formula",
-            lambda n, k, two_power_table: RbResult(99, Method.GENERAL_RECURSION),
+            lambda n, k: RbResult(99, Method.GENERAL_RECURSION),
         )
         code, _, err = run(capsys, "rb", "--n", "6", "--k", "1", "--method", "both")
         assert code == cli.EXIT_MISMATCH
@@ -96,7 +97,7 @@ class TestRb:
 
         monkeypatch.setattr(search, "rb_oracle", forbidden)
         monkeypatch.setattr(search, "_iter_canonical", forbidden)
-        for a in range(1, 5):
+        for a in sorted(formulas._TWO_POWER_RB):
             assert formulas.rb_general(2**a, 2).value == 3
         code, out, _ = run(capsys, "rb", "--n", "48", "--k", "2", "--method", "formula")
         assert code == cli.EXIT_OK
@@ -170,6 +171,23 @@ class TestWitnessAndVerify:
         assert "(1, 3, 4)" in err
         assert not path.exists()
 
+    def test_witness_builder_input_error_is_not_hidden(self, capsys, tmp_path, monkeypatch):
+        # a builder bug must surface, not fall back to the oracle silently
+        def broken(n, p):
+            raise InputError(f"base coloring is not rainbow-free for k={p}")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the witness route ran the oracle")
+
+        monkeypatch.setattr(cli, "witness_general", broken)
+        monkeypatch.setattr(cli, "rb_oracle", forbidden)
+        path = tmp_path / "w.json"
+        code, out, err = run(capsys, "witness", "--n", "10", "--k", "1", "--out", str(path))
+        assert code == cli.EXIT_INPUT
+        assert err == "error: base coloring is not rainbow-free for k=1\n"
+        assert out == ""
+        assert not path.exists()
+
     def test_verify_reports_rainbow_triple(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 5, "k": 1, "colors": [0, 1, 2, 2, 3]}))
@@ -236,6 +254,15 @@ class TestTable:
         by_n = {row["n"]: row for row in json.loads(out)}
         assert by_n[9]["rb_search"] == 4
 
+    def test_k2_reaches_z32_and_beyond(self, capsys):
+        # Z_32 takes its formula value from the built-in rb(Z_{2^5}, 2)
+        code, out, _ = run(capsys, "table", "--n-max", "40", "--k", "2")
+        assert code == cli.EXIT_OK
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [int(row[0]) for row in rows] == list(range(2, 41))
+        by_n = {int(row[0]): row for row in rows}
+        assert by_n[32][2:5] == ["3", "3", "yes"]
+
     def test_rejects_composite_k(self, capsys):
         code, _, err = run(capsys, "table", "--n-max", "10", "--k", "4")
         assert code == cli.EXIT_INPUT
@@ -265,20 +292,17 @@ class TestTable:
         _, out2, _ = run(capsys, "table", "--n-max", "8", "--k", "1")
         assert strip(out1) == strip(out2)
 
-    def test_missing_two_power_table_exits_2_without_traceback(self, tmp_path):
-        missing = tmp_path / "missing.json"
+    def test_missing_two_power_table_exits_2_without_traceback(self):
+        # a package error raised in a fresh interpreter ends in exit 2
         proc = subprocess.run(
-            [
-                sys.executable, "-m", "rainbow_lab.cli", "table", "--n-max", "5",
-                "--k", "2", "--two-power-table", str(missing),
-            ],
+            [sys.executable, "-m", "rainbow_lab.cli", "rb", "--n", "0", "--k", "1"],
             capture_output=True,
             text=True,
             env=_env_with_package(),
             timeout=60,
         )
         assert "Traceback" not in proc.stderr, proc.stderr
-        assert proc.stderr.startswith("error: cannot read value table")
+        assert proc.stderr.startswith("error: modulus")
         assert proc.returncode == cli.EXIT_INPUT
 
     @pytest.mark.parametrize("unbuffered", [False, True])

@@ -1,10 +1,8 @@
-import json
-
 import pytest
 
-from rainbow_lab.errors import ConfigError, InputError, UnsupportedCaseError
+from rainbow_lab import formulas
+from rainbow_lab.errors import InputError, UnsupportedCaseError
 from rainbow_lab.formulas import (
-    load_two_power_table,
     rb_formula,
     rb_general,
     rb_prime_power,
@@ -109,37 +107,6 @@ class TestRbPrimePower:
             rb_prime_power(5, 0)
 
 
-class TestTwoPowerTable:
-    def test_load_valid_table(self, tmp_path):
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps({"1": 3, "2": 4, "5": 6}))
-        assert load_two_power_table(path) == {1: 3, 2: 4, 5: 6}
-
-    def test_rejects_malformed_json(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError):
-            load_two_power_table(path)
-
-    def test_rejects_non_object(self, tmp_path):
-        path = tmp_path / "list.json"
-        path.write_text("[3, 4]")
-        with pytest.raises(ConfigError):
-            load_two_power_table(path)
-
-    def test_rejects_out_of_range_value(self, tmp_path):
-        path = tmp_path / "range.json"
-        path.write_text(json.dumps({"2": 99}))
-        with pytest.raises(ConfigError):
-            load_two_power_table(path)
-
-    def test_rejects_non_integer_key(self, tmp_path):
-        path = tmp_path / "key.json"
-        path.write_text(json.dumps({"two": 3}))
-        with pytest.raises(ConfigError):
-            load_two_power_table(path)
-
-
 class TestRbGeneral:
     def test_values(self):
         assert rb_general(15, 3).value == 4  # rb(Z_3,3) + (rb(Z_5,3) - 2) = 3 + 1
@@ -152,20 +119,19 @@ class TestRbGeneral:
         assert result.detail["base"] == 4
         assert [(t["q"], t["contribution"]) for t in result.detail["terms"]] == [(5, 1)]
 
-    def test_p_two_uses_injected_table(self):
-        assert rb_general(8, 2, two_power_table={3: 6}).value == 6
-        assert rb_general(24, 2, two_power_table={3: 6}).value == 6 + 1  # q=3 adds 1
-
-    @pytest.mark.parametrize("a", range(1, 5))
+    @pytest.mark.parametrize("a", sorted(formulas._TWO_POWER_RB))
     def test_p_two_table_matches_oracle(self, a):
-        # the built-in rb(Z_{2^a}, 2) values, re-derived by exhaustive search
+        # every built-in rb(Z_{2^a}, 2) value, re-derived by exhaustive search
         res = rb_oracle(CyclicInstance(2**a, 2))
         assert res.conclusive
         assert rb_general(2**a, 2).value == res.value
 
     def test_p_two_large_exponent_without_table_errors(self):
-        with pytest.raises(ConfigError):
-            rb_general(32, 2)
+        # 2^6 is past the built-in values: no closed form, for any odd part
+        with pytest.raises(UnsupportedCaseError, match=r"2\^6"):
+            rb_general(64, 2)
+        with pytest.raises(UnsupportedCaseError, match=r"2\^6"):
+            rb_formula(192, 2)
 
     def test_rejects_composite_coefficient(self):
         with pytest.raises(InputError):
@@ -176,7 +142,6 @@ class TestRbFormula:
     def test_dispatch_on_reduced_coefficient(self):
         assert rb_formula(7, 8) == rb_general(7, 1)  # 8 = 1 (mod 7)
         assert rb_formula(10, 13).value == rb_general(10, 3).value  # 13 = 3
-        assert rb_formula(8, 2, two_power_table={3: 6}).value == 6
 
     def test_other_coefficients_unsupported(self):
         for n, k in ((7, 4), (6, 0), (1, 1), (10, 9)):
