@@ -5,10 +5,12 @@ ids in restricted-growth (canonical) order. Forward checking keeps, for
 every later position, the domain of colors it may take without completing a
 rainbow triple; a branch is pruned when a domain empties, or when too few
 positions can still take a new color to reach the number of colors of
-interest. Triples are solved per position from an O(n) table, so memory is
-O(n) and the time budget covers all of the work. The search is exact when it
-runs to completion; running out of time budget yields a first-class
-inconclusive outcome, never a guess.
+interest. Each node narrows the later domains from the shorter side: it walks
+its earlier partners, or the later positions when fewer of those remain, and
+the last position walks nothing. Triples are solved per position from an O(n)
+table, so memory is O(n) and the time budget covers all of the work. The
+search is exact when it runs to completion; running out of time budget yields
+a first-class inconclusive outcome, never a guess.
 """
 from __future__ import annotations
 
@@ -22,7 +24,13 @@ from .errors import InputError, SearchInconclusiveError
 from .modcore import CyclicInstance, solutions_by_sum
 from .results import Method, RbResult
 
-_BUDGET_CHECK_WORK = 4096  # check the clock every 4096 partner visits
+_BUDGET_CHECK_WORK = 4096  # check the clock every 4096 positions walked
+# A node walks its later positions when 2 * (their count) < pos. Summed
+# medians of tools/bench_kernel.py's four enumeration instances, two runs per
+# weight (2 cores, Python 3.11.7): 0.052-0.058 s with a forward walk only at
+# the last position, 0.032-0.039 s at weight 1.5, 0.037-0.039 s at 2 and
+# 0.041 s at 3; its rb instances did not separate the weights.
+_FORWARD_WEIGHT = 2
 
 
 @dataclass(frozen=True)
@@ -75,6 +83,17 @@ def _iter_canonical(
     colors plus _ALL later positions cannot reach the needed r is pruned.
     Triples are solved per position from the O(n) table solutions_by_sum;
     nothing O(n^2) is stored.
+
+    Two walks narrow the domains at a node; they see the same triples and
+    give the same domains. The backward walk visits the partners a < pos
+    and solves each pair for its third coordinates y > pos. The forward walk
+    visits the later positions y and folds into dom[y] the pairs of its
+    partners a < pos: a = k*y - pos, a = k*pos - y and k*a = pos + y, the
+    same three relations solved for a. A node walks forward when
+    _FORWARD_WEIGHT * (later positions) < pos, so the last position, which
+    has no later domain to narrow, walks nothing. Node order, outputs and
+    node counts do not depend on the walk; the prune reason a node is
+    counted under can, when a node would be cut for both.
     """
     n, k = inst.n, inst.k
     if max_r is not None and max_r < 1:
@@ -94,7 +113,7 @@ def _iter_canonical(
     free_before[0] = n - 1
     need = min_r  # completions must reach this many colors to be reported
     nodes = empty_domain = count_bound = 0
-    work = 0  # partner visits, the unit of cost the budget is checked by
+    work = 0  # positions walked, the unit of cost the budget is checked by
     next_check = _BUDGET_CHECK_WORK
     pos = 0
     last = n - 1
@@ -115,7 +134,9 @@ def _iter_canonical(
             cand[pos] = rem ^ bit
             col = bit.bit_length() - 1
             nodes += 1
-            work += pos + 1
+            ahead = last - pos
+            forward = _FORWARD_WEIGHT * ahead < pos
+            work += (ahead if forward else pos) + 1
             if work >= next_check:
                 next_check = work + _BUDGET_CHECK_WORK
                 if deadline is not None and time.monotonic() > deadline:
@@ -129,36 +150,62 @@ def _iter_canonical(
             if free < slack:
                 count_bound += 1
                 continue
-            if nu > 1:
-                # one pass over the differently colored partners a: each third
-                # coordinate y > pos keeps only the colors of pos and a
+            if nu > 1 and ahead:
                 kp = k * pos
                 pruned = False
-                for a in range(pos):
-                    ca = colors[a]
-                    if ca == col:
-                        continue
-                    pair = bit | (1 << ca)
-                    for y in sols[(pos + a) % n] + ((kp - a) % n, (k * a - pos) % n):
-                        if y > pos:
-                            d = dom[y]
-                            nd = d & pair
-                            if nd != d:
-                                if not nd:
-                                    empty_domain += 1
+                if forward:
+                    # one pass over the later positions y: each folds in the
+                    # pairs of its differently colored partners a < pos
+                    for y in range(pos + 1, n):
+                        d = dom[y]
+                        nd = d
+                        for a in sols[(pos + y) % n] + ((k * y - pos) % n, (kp - y) % n):
+                            if a < pos:
+                                ca = colors[a]
+                                if ca != col:
+                                    nd &= bit | (1 << ca)
+                        if nd != d:
+                            if not nd:
+                                empty_domain += 1
+                                pruned = True
+                                break
+                            trail.append(y)
+                            trail.append(d)
+                            dom[y] = nd
+                            if d == _ALL:
+                                free -= 1
+                                if free < slack:
+                                    count_bound += 1
                                     pruned = True
                                     break
-                                trail.append(y)
-                                trail.append(d)
-                                dom[y] = nd
-                                if d == _ALL:
-                                    free -= 1
-                                    if free < slack:
-                                        count_bound += 1
+                else:
+                    # one pass over the differently colored partners a: each
+                    # third coordinate y > pos keeps only the colors of pos and a
+                    for a in range(pos):
+                        ca = colors[a]
+                        if ca == col:
+                            continue
+                        pair = bit | (1 << ca)
+                        for y in sols[(pos + a) % n] + ((kp - a) % n, (k * a - pos) % n):
+                            if y > pos:
+                                d = dom[y]
+                                nd = d & pair
+                                if nd != d:
+                                    if not nd:
+                                        empty_domain += 1
                                         pruned = True
                                         break
-                    if pruned:
-                        break
+                                    trail.append(y)
+                                    trail.append(d)
+                                    dom[y] = nd
+                                    if d == _ALL:
+                                        free -= 1
+                                        if free < slack:
+                                            count_bound += 1
+                                            pruned = True
+                                            break
+                        if pruned:
+                            break
                 if pruned:
                     continue
             if pos == last:
@@ -194,6 +241,11 @@ def rb_oracle(inst: CyclicInstance, cfg: Optional[SearchConfig] = None) -> RbRes
     search is reported as inconclusive: r_max, and so the value, is then only
     a lower bound, and the witness (None if no coloring was completed) is not
     known to be maximum.
+
+    detail["prunes"] counts the cut nodes by reason. A node that both empties
+    a domain and breaks the count bound is counted under the reason the
+    kernel finds first, so the split depends on the walk order; only the sum
+    is fixed.
     """
     cfg = cfg or SearchConfig()
     start = time.monotonic()

@@ -172,6 +172,31 @@ class TestCountsOfAClosedEnumeration:
         assert len(recorded) == 1 and recorded[0].nodes > 0
 
 
+class TestPinnedCounts:
+    """Machine-independent counts of the kernel, so that a speed change cannot
+    change the search unnoticed. A node that both empties a domain and breaks
+    the count bound counts under the reason found first, which depends on the
+    walk order; only the sum of the two prune counts is pinned."""
+
+    @pytest.mark.parametrize(
+        "n, k, nodes, prunes", ((24, 23, 22116, 11982), (21, 3, 1448, 746))
+    )
+    def test_rb_oracle(self, n, k, nodes, prunes):
+        detail = rb_oracle(CyclicInstance(n, k)).detail
+        assert detail["nodes_explored"] == nodes
+        assert sum(detail["prunes"].values()) == prunes
+
+    @pytest.mark.parametrize(
+        "n, k, nodes, colorings, prunes",
+        ((18, 1, 5104, 611, 438), (20, 3, 5385, 787, 836), (20, 5, 4590, 593, 1029)),
+    )
+    def test_enumeration_min_r_3(self, n, k, nodes, colorings, prunes):
+        status = search._Status()
+        found = sum(1 for _ in search._iter_canonical(CyclicInstance(n, k), status, min_r=3))
+        assert (status.nodes, found) == (nodes, colorings)
+        assert status.empty_domain + status.count_bound == prunes
+
+
 class TestBruteForceCrossCheck:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_enumeration_matches_unpruned_brute_force(self, n):
@@ -235,6 +260,19 @@ class TestBudgetAndMemory:
         result = rb_oracle(CyclicInstance(2003, 1), SearchConfig(time_budget=0.2))
         elapsed = time.monotonic() - start
         assert not result.conclusive
+        assert elapsed < 1.0, f"0.2 s budget took {elapsed:.2f} s"
+
+    def test_budget_holds_for_a_deep_enumeration(self):
+        # the enumeration entry point stops on the same budget; in its first
+        # 0.2 s about half of the nodes walk the later positions
+        start = time.monotonic()
+        stream = iter_rainbow_free_colorings(
+            CyclicInstance(2003, 1), min_r=3, cfg=SearchConfig(time_budget=0.2)
+        )
+        with pytest.raises(SearchInconclusiveError):
+            for _ in stream:
+                pass
+        elapsed = time.monotonic() - start
         assert elapsed < 1.0, f"0.2 s budget took {elapsed:.2f} s"
 
     def test_memory_stays_linear_at_large_n(self):

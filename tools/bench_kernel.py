@@ -13,12 +13,17 @@ Instances, each under a 60 s budget:
   draws at seed 23;
 - iter_rainbow_free_colorings(min_r=3) on its four enumeration instances.
 Per instance it records r_max (for an enumeration, the largest color count
-it yields), whether the search was conclusive, the kernel nodes per run and
-the median wall time of 5 runs. The CLI runs
+it yields), whether the search was conclusive, the kernel nodes and prunes by
+reason per run and the median wall time of 5 runs. The CLI runs
 `rainbow-lab table --n-max 24 --k 1` and
 `rainbow-lab rb --n 30 --k 29 --method search` in a fresh interpreter each
 time, with their exit codes. An instance or a CLI command stops repeating
 once its runs add up to 60 s; the number of runs is stored.
+
+A node count is the same on every machine and for every walk order of the
+kernel, so when the output file already holds a `parent` entry and --label
+is not `parent`, every instance whose node count differs from the parent's
+is printed and the script exits 1 (after writing its result).
 """
 from __future__ import annotations
 
@@ -95,9 +100,16 @@ def repeated(fn) -> tuple[dict, list[float]]:
 def kernel(fn, n: int, k: int) -> dict:
     _Recorded.made.clear()
     out, walls = repeated(lambda: fn(n, k))
-    out["nodes"] = sum(s.nodes for s in _Recorded.made) // len(walls)
+    runs = len(walls)
+    out["nodes"] = sum(s.nodes for s in _Recorded.made) // runs
+    # a node that both empties a domain and breaks the count bound counts
+    # under the reason found first, so only the sum is fixed
+    out["prunes"] = {
+        "empty_domain": sum(s.empty_domain for s in _Recorded.made) // runs,
+        "count_bound": sum(s.count_bound for s in _Recorded.made) // runs,
+    }
     out["wall_s_median"] = round(statistics.median(walls), 4)
-    out["runs"] = len(walls)
+    out["runs"] = runs
     return out
 
 
@@ -137,6 +149,17 @@ def measure() -> dict:
     }
 
 
+def node_mismatches(parent: dict, result: dict) -> list[str]:
+    """One line per instance whose node count differs from the parent's."""
+    lines = []
+    for mode in ("rb_oracle", "enumerate_min_r_3"):
+        for name, got in result[mode].items():
+            want = parent.get(mode, {}).get(name, {}).get("nodes")
+            if want != got["nodes"]:
+                lines.append(f"{mode} {name}: nodes {got['nodes']}, parent {want}")
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key the result is stored under")
@@ -155,6 +178,12 @@ def main() -> int:
         fh.write("\n")
     json.dump({args.label: result}, sys.stdout, indent=1, sort_keys=True)
     print()
+    if args.label != "parent" and "parent" in doc:
+        mismatches = node_mismatches(doc["parent"], result)
+        for line in mismatches:
+            print(line, file=sys.stderr)
+        if mismatches:
+            return 1
     return 0
 
 
