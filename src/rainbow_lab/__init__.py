@@ -49,20 +49,16 @@ from .modcore import (
     CyclicInstance,
     Triple,
     divisibility_count,
-    generates_full_group,
     is_k_periodic_subset,
     is_prime,
     is_symmetric_subset,
-    is_triple,
     iter_triples,
     multiplicative_order,
     prime_factorize,
-    project_triple,
 )
 from .results import Method, RbResult
 from .search import (
     SearchConfig,
-    enumerate_rainbow_free,
     iter_rainbow_free_colorings,
     rb_oracle,
 )

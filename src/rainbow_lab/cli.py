@@ -20,7 +20,7 @@ from .coloring import find_rainbow_triple, residue_palettes
 from .constructions import witness_general
 from .errors import CertificateError, RainbowLabError, UnsupportedCaseError
 from .formulas import rb_formula
-from .modcore import CyclicInstance, is_prime
+from .modcore import CyclicInstance
 from .search import SearchConfig, rb_oracle
 
 EXIT_OK = 0
@@ -78,16 +78,15 @@ def cmd_rb(args) -> int:
 
 
 def _construct_witness(n: int, k: int, budget: float):
-    """Pick the strongest applicable path: construction if one exists, else
-    the search oracle's witness, which is None unless the search is
-    conclusive (only then is the witness a maximum coloring)."""
-    inst = CyclicInstance(n, k)
-    if inst.k == 1 or is_prime(inst.k):
-        try:
-            return witness_general(n, inst.k), "general-lift"
-        except UnsupportedCaseError:
-            pass
-    result = rb_oracle(inst, SearchConfig(time_budget=budget))
+    """Pick the strongest applicable path: where rb_formula has a closed form
+    and a builder applies, witness_general for the coefficient its recursion
+    uses; else the search oracle's witness, which is None unless the search
+    is conclusive (only then is the witness a maximum coloring)."""
+    try:
+        return witness_general(n, rb_formula(n, k).detail["p"]), "general-lift"
+    except UnsupportedCaseError:
+        pass
+    result = rb_oracle(CyclicInstance(n, k), SearchConfig(time_budget=budget))
     return (result.witness if result.conclusive else None), "oracle-search"
 
 
@@ -153,18 +152,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.k != 1 and not is_prime(args.k):
-        print(
-            f"error: no closed form for k={args.k}; table needs k = 1 or prime",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
     rows = []
     any_inconclusive = False
     for n in range(2, args.n_max + 1):
-        # per-row: a prime k may reduce mod n to 0 or a composite, and k = 2
-        # has no closed form once 2^6 | n; such rows are search-only with a
-        # blank formula
+        # a row without a closed form is search-only, with a blank formula
         try:
             formula_value = rb_formula(n, args.k).value
         except UnsupportedCaseError:

@@ -53,10 +53,6 @@ class Coloring:
                 classes[c] = {x}
         return classes
 
-    def is_exact_with(self, r: int) -> bool:
-        """True iff the coloring uses exactly the colors {0, ..., r-1}."""
-        return set(self.colors) == set(range(r))
-
 
 def canonicalize(colors) -> tuple[int, ...]:
     """Relabel into restricted-growth form: scanning left to right, the first

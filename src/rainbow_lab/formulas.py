@@ -1,16 +1,18 @@
 """Closed-form rainbow numbers, composed exactly as the theorems prescribe.
 
 rb(Z_q, p) for a prime modulus q via the multiplicative order of p,
-rb(Z_{p^a}, p) for odd p, the recursion rb_general for rb(Z_n, p) over the
-prime factorization of n, and rb_formula, which reduces k mod n and calls
-the recursion when that is 1 or a prime. k = 1 is the unit case of the
-recursion: 1 has order 1 in every Z_q^*, so rb(Z_q, 1) is 3 for q in {2, 3}
-and 4 otherwise, no prime factor equals 1, and the recursion becomes the
-Schur factorization formula 2 + sum of alpha_i * (rb(Z_{q_i}, 1) - 2). The k = 2
-power-of-two base rb(Z_{2^a}, 2) has no closed form: for a <= 5 it is a
-built-in value the exhaustive oracle certifies, and for larger a the
-recursion raises UnsupportedCaseError. This module reads no file and never
-runs the search: the oracle checks these values, it does not supply them.
+rb(Z_{p^a}, p) for a prime p, the recursion rb_general for rb(Z_n, p) over
+the prime factorization of n, and rb_formula, the one place that decides
+which (n, k) have a closed form: k mod n equal to 1 or a prime, or 0 with n
+prime (the paper's k = p on Z_p). k = 1 is the unit case of the recursion:
+1 has order 1 in every Z_q^*, so rb(Z_q, 1) is 3 for q in {2, 3} and 4
+otherwise, no prime factor equals 1, and the recursion becomes the Schur
+factorization formula 2 + sum of alpha_i * (rb(Z_{q_i}, 1) - 2). The k = 2
+power-of-two base rb(Z_{2^a}, 2) has no closed form: for a <= 5
+rb_prime_power returns a built-in value the exhaustive oracle certifies, and
+for larger a it raises UnsupportedCaseError. This module reads no file and
+never runs the search: the oracle checks these values, it does not supply
+them.
 """
 from __future__ import annotations
 
@@ -50,20 +52,24 @@ def rb_q_p(q: int, p: int) -> RbResult:
 
 
 def rb_prime_power(p: int, alpha: int) -> RbResult:
-    """rb(Z_{p^alpha}, p) for odd primes.
+    """rb(Z_{p^alpha}, p) for a prime p.
 
-    3 for (p, alpha) = (3, 1); 4 for p = 3, alpha >= 2; (p+1)/2 + 1 for p >= 5.
+    3 for (p, alpha) = (3, 1); 4 for p = 3, alpha >= 2; (p+1)/2 + 1 for
+    p >= 5. For p = 2 the built-in oracle-certified value for alpha <= 5;
+    a larger alpha raises UnsupportedCaseError.
     """
-    if p == 2:
-        raise UnsupportedCaseError(
-            "rb(Z_{2^a}, 2) is outside the closed forms; rb_general knows the "
-            "oracle-certified values for a <= 5"
-        )
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
     if alpha < 1:
         raise InputError(f"alpha must be >= 1, got {alpha}")
-    if p == 3:
+    if p == 2:
+        if alpha not in _TWO_POWER_RB:
+            raise UnsupportedCaseError(
+                f"no closed form for rb(Z_{{2^{alpha}}}, 2): it is known only "
+                f"for exponents up to {max(_TWO_POWER_RB)}"
+            )
+        value = _TWO_POWER_RB[alpha]
+    elif p == 3:
         value = 3 if alpha == 1 else 4
     else:
         value = (p + 1) // 2 + 1
@@ -77,8 +83,8 @@ def rb_general(n: int, p: int) -> RbResult:
     n = p^alpha * prod q_i^{alpha_i}:
 
     rb(Z_{p^alpha}, p) + sum of alpha_i * (rb(Z_{q_i}, p) - 2), with the
-    alpha = 0 base taken as 2. For p = 1, alpha is always 0. For p = 2 the
-    base is built in for alpha <= 5; a larger alpha raises
+    alpha = 0 base taken as 2. For p = 1, alpha is always 0. The base comes
+    from rb_prime_power, so for p = 2 and alpha >= 6 this raises
     UnsupportedCaseError.
     """
     if not (p == 1 or is_prime(p)):
@@ -98,17 +104,7 @@ def rb_general(n: int, p: int) -> RbResult:
             terms.append(
                 {"q": prime, "alpha": exp, "rb_q_p": rb_q, "contribution": contribution}
             )
-    if alpha == 0:
-        base = 2
-    elif p == 2:
-        if alpha not in _TWO_POWER_RB:
-            raise UnsupportedCaseError(
-                f"no closed form for rb(Z_{n}, 2): rb(Z_{{2^{alpha}}}, 2) is known "
-                f"only for exponents up to {max(_TWO_POWER_RB)}"
-            )
-        base = _TWO_POWER_RB[alpha]
-    else:
-        base = rb_prime_power(p, alpha).value
+    base = rb_prime_power(p, alpha).value if alpha else 2
     return RbResult(
         value=base + value,
         method=Method.GENERAL_RECURSION,
@@ -122,13 +118,17 @@ def rb_schur(n: int) -> RbResult:
 
 
 def rb_formula(n: int, k: int) -> RbResult:
-    """rb(Z_n, k) from the closed forms: rb_general when k mod n is 1 or a
-    prime. Any other coefficient, and k = 2 with 2^6 | n, raises
-    UnsupportedCaseError."""
+    """rb(Z_n, k) from the closed forms, the one place that decides which
+    (n, k) have one: rb_general(n, k mod n) when k mod n is 1 or a prime,
+    and rb_general(n, n) when k = 0 mod a prime n. Any other coefficient,
+    and k = 2 with 2^6 | n, raises UnsupportedCaseError; detail["p"] names
+    the coefficient the recursion used."""
     k_red = CyclicInstance(n, k).k
     if k_red == 1 or is_prime(k_red):
         return rb_general(n, k_red)
+    if k_red == 0 and is_prime(n):
+        return rb_general(n, n)
     raise UnsupportedCaseError(
-        f"no closed form for (n={n}, k={k}): the formulas cover k = 1 mod n "
-        "and prime k mod n only"
+        f"no closed form for (n={n}, k={k}): the formulas cover k = 1 mod n, "
+        "prime k mod n, and k = 0 mod a prime n only"
     )

@@ -106,18 +106,6 @@ def iter_triples(inst: CyclicInstance) -> Iterator[Triple]:
                 yield Triple(x1, x2, x3)
 
 
-def _check_residue(x: int, n: int, name: str) -> None:
-    if not 0 <= x < n:
-        raise InputError(f"{name}={x} is not a residue in [0, {n})")
-
-
-def is_triple(inst: CyclicInstance, x1: int, x2: int, x3: int) -> bool:
-    """True iff (x1 + x2 - k*x3) = 0 (mod n)."""
-    for name, x in (("x1", x1), ("x2", x2), ("x3", x3)):
-        _check_residue(x, inst.n, name)
-    return (x1 + x2 - inst.k * x3) % inst.n == 0
-
-
 def multiplicative_order(a: int, q: int) -> int:
     """Smallest e >= 1 with a**e = 1 (mod q), for q prime and a not divisible by q."""
     if not is_prime(q):
@@ -130,25 +118,6 @@ def multiplicative_order(a: int, q: int) -> int:
         power = (power * a) % q
         e += 1
     return e
-
-
-def generates_full_group(a: int, q: int) -> bool:
-    """True iff a generates the multiplicative group Z_q^*."""
-    return multiplicative_order(a, q) == q - 1
-
-
-def project_triple(t: Triple, inst: CyclicInstance, m: int) -> Triple:
-    """Divide a triple with all coordinates divisible by m down to Z_{n/m}.
-
-    The result satisfies the instance (n/m, k mod n/m).
-    """
-    if m < 1 or inst.n % m != 0:
-        raise InputError(f"m={m} does not divide the modulus {inst.n}")
-    for name, x in zip(("x1", "x2", "x3"), t):
-        _check_residue(x, inst.n, name)
-        if x % m != 0:
-            raise InputError(f"{name}={x} is not divisible by m={m}")
-    return Triple(t.x1 // m, t.x2 // m, t.x3 // m)
 
 
 def divisibility_count(t: Triple, q: int) -> int:

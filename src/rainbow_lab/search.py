@@ -273,17 +273,6 @@ def rb_oracle(inst: CyclicInstance, cfg: Optional[SearchConfig] = None) -> RbRes
     )
 
 
-def enumerate_rainbow_free(
-    inst: CyclicInstance, r: int, cfg: Optional[SearchConfig] = None
-) -> Iterator[Coloring]:
-    """Every canonical exact rainbow-free r-coloring, each exactly once, in
-    lexicographic order. Raises SearchInconclusiveError as
-    iter_rainbow_free_colorings does."""
-    if not 1 <= r <= inst.n:
-        raise InputError(f"r={r} out of range [1, {inst.n}]")
-    return iter_rainbow_free_colorings(inst, r, r, cfg)
-
-
 def iter_rainbow_free_colorings(
     inst: CyclicInstance,
     min_r: int = 1,

@@ -13,7 +13,7 @@ from rainbow_lab.coloring import Coloring, classify_3coloring_LM, is_rainbow_fre
 from rainbow_lab.coloring import LMCase
 from rainbow_lab.formulas import rb_general, rb_prime_power, rb_q_p
 from rainbow_lab.modcore import CyclicInstance, is_prime, prime_factorize
-from rainbow_lab.search import SearchConfig, enumerate_rainbow_free, rb_oracle
+from rainbow_lab.search import SearchConfig, iter_rainbow_free_colorings, rb_oracle
 from rainbow_lab.constructions import witness_general, witness_prime_power, witness_q_p
 
 from conftest import canonical_colorings
@@ -152,7 +152,6 @@ def test_criterion_7_property_suites(rf_small_all_k, rf_k1_by_n, rf_kp_by_np):
         residue_palettes,
     )
     from rainbow_lab.modcore import divisibility_count, iter_triples
-    from rainbow_lab.search import iter_rainbow_free_colorings
 
     for n in range(1, 31):
         for k in range(n):
@@ -208,7 +207,7 @@ def test_criterion_7_property_suites(rf_small_all_k, rf_k1_by_n, rf_kp_by_np):
             assert len(palettes[0]) == 1
 
     sampled = 0
-    z25 = enumerate_rainbow_free(CyclicInstance(25, 5), 3, BUDGET_60S)
+    z25 = iter_rainbow_free_colorings(CyclicInstance(25, 5), 3, 3, BUDGET_60S)
     for c in z25:
         palettes = residue_palettes(c, 5)
         assert all(palettes[i] == palettes[5 - i] for i in range(1, 5))

@@ -126,6 +126,16 @@ class TestWitnessAndVerify:
         run(capsys, "witness", "--n", "12", "--k", "1", "--out", str(path))
         assert read_certificate(path).meta["construction"] == "general-lift"
 
+    def test_witness_k_zero_mod_prime_n_is_constructed(self, capsys, tmp_path):
+        # k = 37 on Z_37 is the paper's k = p case: the prime-power witness
+        path = tmp_path / "w.json"
+        code, out, _ = run(
+            capsys, "witness", "--n", "37", "--k", "37",
+            "--budget-secs", "1", "--out", str(path),
+        )
+        assert code == cli.EXIT_OK
+        assert "colors=19 [general-lift]" in out
+
     def test_witness_oracle_fallback(self, capsys, tmp_path):
         # k = 4 is composite: no construction applies, the oracle must step in
         path = tmp_path / "w.json"
@@ -263,10 +273,18 @@ class TestTable:
         by_n = {int(row[0]): row for row in rows}
         assert by_n[32][2:5] == ["3", "3", "yes"]
 
-    def test_rejects_composite_k(self, capsys):
-        code, _, err = run(capsys, "table", "--n-max", "10", "--k", "4")
-        assert code == cli.EXIT_INPUT
-        assert "no closed form" in err
+    def test_composite_k_rows_are_search_only(self, capsys):
+        # 4 = 1 (mod 3) and 4 = 0 (mod the prime 2) have closed forms; every
+        # other row is search-only, with a blank formula
+        code, out, _ = run(capsys, "table", "--n-max", "12", "--k", "4")
+        assert code == cli.EXIT_OK
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [int(row[0]) for row in rows] == list(range(2, 13))
+        by_n = {int(row[0]): row for row in rows}
+        assert by_n[2][2:5] == ["3", "3", "yes"]
+        assert by_n[3][2:5] == ["3", "3", "yes"]
+        for n in range(4, 13):
+            assert by_n[n][2] == "" and by_n[n][3] != "", by_n[n]
 
     def test_inconclusive_rows_marked_and_exit_4(self, capsys):
         code, out, _ = run(

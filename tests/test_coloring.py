@@ -21,7 +21,7 @@ from rainbow_lab.coloring import (
 )
 from rainbow_lab.errors import InputError
 from rainbow_lab.modcore import CyclicInstance, Triple
-from rainbow_lab.search import enumerate_rainbow_free
+from rainbow_lab.search import iter_rainbow_free_colorings
 
 
 class TestColoring:
@@ -54,10 +54,6 @@ class TestColoring:
         c = Coloring(5, (0, 1, 2, 2, 1))
         assert c.num_colors() == 3
         assert c.color_classes() == {0: {0}, 1: {1, 4}, 2: {2, 3}}
-
-    def test_is_exact_with(self):
-        assert Coloring(3, (0, 1, 2)).is_exact_with(3)
-        assert not Coloring(3, (0, 2, 2)).is_exact_with(3)
 
 
 class TestCanonicalForm:
@@ -273,7 +269,7 @@ class TestCheckingMatchesReference:
     @pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 19])
     def test_every_rainbow_free_3_coloring(self, q):
         for k in range(q):
-            for c in enumerate_rainbow_free(CyclicInstance(q, k), 3):
+            for c in iter_rainbow_free_colorings(CyclicInstance(q, k), 3, 3):
                 self.assert_same_classification(c, k)
 
     @pytest.mark.parametrize("q", [13, 17, 19, 23])

@@ -96,9 +96,11 @@ class TestRbPrimePower:
         assert rb_prime_power(5, 2).value == 4
         assert rb_prime_power(7, 1).value == 5
 
-    def test_p_two_is_unsupported(self):
-        with pytest.raises(UnsupportedCaseError):
-            rb_prime_power(2, 3)
+    def test_p_two_base_is_built_in(self):
+        for a in formulas._TWO_POWER_RB:
+            assert rb_prime_power(2, a).value == rb_general(2**a, 2).value
+        with pytest.raises(UnsupportedCaseError, match=r"2\^6"):
+            rb_prime_power(2, 6)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(InputError):
@@ -142,6 +144,13 @@ class TestRbFormula:
     def test_dispatch_on_reduced_coefficient(self):
         assert rb_formula(7, 8) == rb_general(7, 1)  # 8 = 1 (mod 7)
         assert rb_formula(10, 13).value == rb_general(10, 3).value  # 13 = 3
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13, 17, 19, 23, 29))
+    def test_k_zero_mod_prime_n_matches_oracle(self, p):
+        # the paper's k = p on Z_p, reached through k = p and k = 2p
+        res = rb_oracle(CyclicInstance(p, p))
+        assert res.conclusive
+        assert rb_formula(p, p).value == rb_formula(p, 2 * p).value == res.value
 
     def test_other_coefficients_unsupported(self):
         for n, k in ((7, 4), (6, 0), (1, 1), (10, 9)):

@@ -5,15 +5,12 @@ from rainbow_lab.modcore import (
     CyclicInstance,
     Triple,
     divisibility_count,
-    generates_full_group,
     is_k_periodic_subset,
     is_prime,
     is_symmetric_subset,
-    is_triple,
     iter_triples,
     multiplicative_order,
     prime_factorize,
-    project_triple,
 )
 
 
@@ -55,16 +52,6 @@ class TestTriples:
         triples = list(iter_triples(CyclicInstance(7, 3)))
         assert triples == sorted(triples)
 
-    def test_is_triple(self):
-        inst = CyclicInstance(5, 1)
-        assert is_triple(inst, 1, 4, 0)
-        assert not is_triple(inst, 1, 1, 3)
-        assert is_triple(CyclicInstance(9, 3), 1, 2, 1)
-
-    def test_is_triple_rejects_out_of_range(self):
-        with pytest.raises(InputError):
-            is_triple(CyclicInstance(5, 1), 5, 0, 0)
-
 
 class TestMultiplicativeStructure:
     def test_orders(self):
@@ -79,34 +66,6 @@ class TestMultiplicativeStructure:
     def test_order_requires_prime_modulus(self):
         with pytest.raises(InputError):
             multiplicative_order(3, 8)
-
-    def test_generates_full_group(self):
-        assert generates_full_group(3, 7)
-        assert not generates_full_group(2, 7)
-        assert not generates_full_group(1, 5)
-
-
-class TestProjectTriple:
-    def test_examples(self):
-        assert project_triple(Triple(5, 5, 0), CyclicInstance(10, 1), 5) == (1, 1, 0)
-        assert project_triple(Triple(3, 6, 9), CyclicInstance(12, 1), 3) == (1, 2, 3)
-        assert project_triple(Triple(3, 6, 3), CyclicInstance(15, 3), 3) == (1, 2, 1)
-
-    def test_result_satisfies_reduced_instance(self):
-        inst = CyclicInstance(15, 3)
-        reduced = CyclicInstance(5, 3)
-        for t in iter_triples(inst):
-            if all(x % 3 == 0 for x in t):
-                p = project_triple(t, inst, 3)
-                assert is_triple(reduced, *p)
-
-    def test_rejects_non_divisible_coordinate(self):
-        with pytest.raises(InputError):
-            project_triple(Triple(5, 5, 1), CyclicInstance(10, 1), 5)
-
-    def test_rejects_non_divisor_m(self):
-        with pytest.raises(InputError):
-            project_triple(Triple(0, 0, 0), CyclicInstance(10, 1), 4)
 
 
 class TestDivisibilityCount:

@@ -28,7 +28,7 @@ from rainbow_lab.modcore import (
     multiplicative_order,
     prime_factorize,
 )
-from rainbow_lab.search import SearchConfig, enumerate_rainbow_free
+from rainbow_lab.search import SearchConfig, iter_rainbow_free_colorings
 
 
 def proper_divisors(n):
@@ -123,15 +123,13 @@ class TestPrimeColoringStructure:
             if p <= 12:
                 colorings = [c for c in rf_small_all_k[(p, 1)] if c.num_colors() == 3]
             else:
-                colorings = list(enumerate_rainbow_free(CyclicInstance(p, 1), 3))
+                colorings = list(iter_rainbow_free_colorings(CyclicInstance(p, 1), 3, 3))
             if p >= 5:
                 assert colorings
             for c in colorings:
                 assert has_singleton_class(c), (p, c.colors)
 
     def test_symmetry_of_rainbow_free_colorings(self, rf_small_all_k):
-        from rainbow_lab.search import iter_rainbow_free_colorings
-
         for p in self.PRIMES:
             if p <= 12:
                 colorings = rf_small_all_k[(p, 1)]
@@ -173,15 +171,13 @@ class TestPalettes:
 
     def test_samecolors_zeromono_z9(self):
         # Z_9, k=3: palettes taken mod 3
-        from rainbow_lab.search import iter_rainbow_free_colorings
-
         colorings = list(iter_rainbow_free_colorings(CyclicInstance(9, 3), min_r=3))
         assert colorings
         self._samecolors_zeromono(colorings, 3)
 
     def test_samecolors_zeromono_z25_sampled(self):
-        stream = enumerate_rainbow_free(
-            CyclicInstance(25, 5), 3, SearchConfig(time_budget=600.0)
+        stream = iter_rainbow_free_colorings(
+            CyclicInstance(25, 5), 3, 3, SearchConfig(time_budget=600.0)
         )
         sample = list(itertools.islice(stream, 2000))
         assert sample

@@ -12,7 +12,6 @@ from rainbow_lab import search
 from rainbow_lab.modcore import CyclicInstance
 from rainbow_lab.search import (
     SearchConfig,
-    enumerate_rainbow_free,
     iter_rainbow_free_colorings,
     rb_oracle,
 )
@@ -38,7 +37,7 @@ class TestMaxRainbowFreeR:
         res = rb_oracle(CyclicInstance(5, 1))
         assert res.detail["r_max"] == 3
         assert res.conclusive
-        assert res.witness.is_exact_with(3)
+        assert set(res.witness.colors) == set(range(3))
         assert is_rainbow_free(res.witness, 1)
 
     def test_small_cases(self):
@@ -48,7 +47,8 @@ class TestMaxRainbowFreeR:
     def test_witness_is_lex_least_canonical(self):
         res = rb_oracle(CyclicInstance(7, 1))
         assert is_canonical(res.witness.colors)
-        stream = enumerate_rainbow_free(CyclicInstance(7, 1), res.detail["r_max"])
+        r_max = res.detail["r_max"]
+        stream = iter_rainbow_free_colorings(CyclicInstance(7, 1), r_max, r_max)
         assert res.witness == next(iter(stream))
 
     def test_deterministic_across_runs(self):
@@ -96,38 +96,28 @@ class TestRbOracle:
 
 class TestEnumerateRainbowFree:
     def test_empty_for_z3_three_colors(self):
-        assert list(enumerate_rainbow_free(CyclicInstance(3, 1), 3)) == []
+        assert list(iter_rainbow_free_colorings(CyclicInstance(3, 1), 3, 3)) == []
 
     def test_single_trivial_coloring(self):
-        stream = list(enumerate_rainbow_free(CyclicInstance(2, 1), 1))
+        stream = list(iter_rainbow_free_colorings(CyclicInstance(2, 1), 1, 1))
         assert [c.colors for c in stream] == [(0, 0)]
 
     def test_z5_three_colorings_have_singleton_class(self):
-        stream = list(enumerate_rainbow_free(CyclicInstance(5, 1), 3))
+        stream = list(iter_rainbow_free_colorings(CyclicInstance(5, 1), 3, 3))
         assert stream
         for c in stream:
             assert min(len(s) for s in c.color_classes().values()) == 1
 
     def test_canonical_unique_lexicographic(self):
-        stream = [c.colors for c in enumerate_rainbow_free(CyclicInstance(8, 1), 3)]
+        stream = [c.colors for c in iter_rainbow_free_colorings(CyclicInstance(8, 1), 3, 3)]
         assert all(is_canonical(cs) for cs in stream)
         assert len(set(stream)) == len(stream)
         assert stream == sorted(stream)
 
-    def test_rejects_r_out_of_range(self):
-        with pytest.raises(InputError):
-            enumerate_rainbow_free(CyclicInstance(5, 1), 6)
-
-    @pytest.mark.parametrize(
-        "entry",
-        (
-            lambda inst, cfg: iter_rainbow_free_colorings(inst, 3, 3, cfg),
-            lambda inst, cfg: enumerate_rainbow_free(inst, 3, cfg),
-        ),
-        ids=("iter_rainbow_free_colorings", "enumerate_rainbow_free"),
-    )
-    def test_budget_exhaustion_raises(self, entry):
-        stream = entry(CyclicInstance(24, 1), SearchConfig(time_budget=0.005))
+    def test_budget_exhaustion_raises(self):
+        stream = iter_rainbow_free_colorings(
+            CyclicInstance(24, 1), 3, 3, SearchConfig(time_budget=0.005)
+        )
         with pytest.raises(SearchInconclusiveError):
             list(stream)
 
@@ -137,7 +127,7 @@ class TestEnumerateRainbowFree:
         per_r = {
             c.colors
             for r in (2, 3, 4)
-            for c in enumerate_rainbow_free(inst, r)
+            for c in iter_rainbow_free_colorings(inst, r, r)
         }
         assert combined == per_r
 
@@ -248,7 +238,7 @@ class TestDomainsSettleHardCases:
         res = rb_oracle(CyclicInstance(n, n - 1), self.BUDGET)
         assert res.conclusive
         r_max = res.detail["r_max"]
-        assert res.witness.is_exact_with(r_max)
+        assert set(res.witness.colors) == set(range(r_max))
         assert find_rainbow_triple(res.witness, n - 1) is None
 
 

@@ -100,16 +100,38 @@ def src_sha256() -> str:
     return h.hexdigest()
 
 
+def provenance() -> dict:
+    """What a result was measured on: commit, source digest, cores, Python."""
+    return {
+        "git_sha": git_sha(),
+        "src_sha256": src_sha256(),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+    }
+
+
+def store(path: str, label: str, result: dict) -> dict:
+    """Write result under label into the JSON file at path, keeping its
+    other labels, and return the whole document."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        doc = {}
+    doc[label] = result
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return doc
+
+
 def measure() -> dict:
     kinds = pairs_by_kind()
     every = [p for ps in kinds.values() for p in ps]
     classify = {kind: per_call_us(rl.classify_3coloring_LM, ps) for kind, ps in kinds.items()}
     classify["all"] = per_call_us(rl.classify_3coloring_LM, every)
     return {
-        "git_sha": git_sha(),
-        "src_sha256": src_sha256(),
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
+        **provenance(),
         "classify_us_per_call": classify,
         "scan_us_per_call_workload_pairs": per_call_us(rl.find_rainbow_triple, every),
         "full_scan_ms": {f"n={n}": full_scan_ms(n) for n in FULL_SCAN_NS},
@@ -122,15 +144,7 @@ def main() -> int:
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_classify.json"))
     args = parser.parse_args()
     result = measure()
-    try:
-        with open(args.out) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        doc = {}
-    doc[args.label] = result
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    store(args.out, args.label, result)
     json.dump({args.label: result}, sys.stdout, indent=1, sort_keys=True)
     print()
     return 0

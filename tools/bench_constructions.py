@@ -29,7 +29,6 @@ import argparse
 import contextlib
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -42,7 +41,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import rainbow_lab.cli as cli  # noqa: E402
 from rainbow_lab import coloring  # noqa: E402
 
-from bench_checking import git_sha, src_sha256  # noqa: E402
+from bench_checking import provenance, store  # noqa: E402
 
 SMALL = [(n, k) for k in (1, 3, 5) for n in range(2, 46)]
 LARGE = [(1009, 1), (1301, 1)]
@@ -142,10 +141,7 @@ def measure() -> dict:
         for cmd in ("witness", "verify")
     }
     return {
-        "git_sha": git_sha(),
-        "src_sha256": src_sha256(),
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
+        **provenance(),
         "sum_of_median_us_n_2_to_45": small_us,
         "cli_main_median_us_n_2_to_45": cli_median,
         "fresh_witness_out_ms": fresh,
@@ -159,15 +155,7 @@ def main() -> int:
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_constructions.json"))
     args = parser.parse_args()
     result = measure()
-    try:
-        with open(args.out) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        doc = {}
-    doc[args.label] = result
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    store(args.out, args.label, result)
     print(json.dumps({args.label: {k: v for k, v in result.items() if k != "witness"}}, indent=1))
     for key in ("n=1009,k=1", "n=1301,k=1"):
         print(key, result["witness"][key])

@@ -9,8 +9,9 @@ import it.
 
 Instances, each under a 60 s budget:
 - rb_oracle on Z_24 k=23, Z_26 k=25, Z_28 k=27, Z_30 k=29, Z_25 k=5 and
-  Z_21 k=3, and on the six rb instances the benchmark's oracle-sweep workload
-  draws at seed 23;
+  Z_21 k=3; on the slow tier Z_32 k=31, Z_34 k=33, Z_36 k=35, Z_72 k=5 and
+  Z_81 k=5 (about 1-15 s each); and on the six rb instances the benchmark's
+  oracle-sweep workload draws at seed 23;
 - iter_rainbow_free_colorings(min_r=3) on its four enumeration instances.
 Per instance it records r_max (for an enumeration, the largest color count
 it yields), whether the search was conclusive, the kernel nodes and prunes by
@@ -30,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -44,9 +44,11 @@ from rainbow_lab import search  # noqa: E402
 from rainbow_lab.errors import SearchInconclusiveError  # noqa: E402
 from rainbow_lab.modcore import CyclicInstance  # noqa: E402
 
-from bench_checking import git_sha, src_sha256  # noqa: E402
+from bench_checking import provenance, store  # noqa: E402
 
 HARD = [(24, 23), (26, 25), (28, 27), (30, 29), (25, 5), (21, 3)]
+# about 1-15 s each: the searches a sharper bound or a seeded start must speed up
+SLOW = [(32, 31), (34, 33), (36, 35), (72, 5), (81, 5)]
 SWEEP_RB = [(16, 7), (17, 7), (18, 2), (19, 2), (20, 2), (21, 3)]
 SWEEP_ENUM = [(16, 2), (18, 1), (20, 3), (17, 13)]
 CLI = [
@@ -128,7 +130,7 @@ def cli(argv: list[str]) -> dict:
 
 
 def measure() -> dict:
-    rb = {f"Z_{n} k={k}": kernel(rb_run, n, k) for n, k in dict.fromkeys(HARD + SWEEP_RB)}
+    rb = {f"Z_{n} k={k}": kernel(rb_run, n, k) for n, k in dict.fromkeys(HARD + SLOW + SWEEP_RB)}
     enum = {f"Z_{n} k={k}": kernel(enum_run, n, k) for n, k in SWEEP_ENUM}
     lines = 0
     for name in sorted(os.listdir(os.path.join(SRC, "rainbow_lab"))):
@@ -136,11 +138,8 @@ def measure() -> dict:
             with open(os.path.join(SRC, "rainbow_lab", name)) as fh:
                 lines += sum(1 for _ in fh)
     return {
-        "git_sha": git_sha(),
-        "src_sha256": src_sha256(),
+        **provenance(),
         "src_lines": lines,
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
         "rb_oracle": rb,
         "enumerate_min_r_3": enum,
         "sweep_nodes": sum(rb[f"Z_{n} k={k}"]["nodes"] for n, k in SWEEP_RB)
@@ -167,15 +166,7 @@ def main() -> int:
     args = parser.parse_args()
     search._Status = _Recorded
     result = measure()
-    try:
-        with open(args.out) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        doc = {}
-    doc[args.label] = result
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    doc = store(args.out, args.label, result)
     json.dump({args.label: result}, sys.stdout, indent=1, sort_keys=True)
     print()
     if args.label != "parent" and "parent" in doc:
