@@ -33,6 +33,17 @@ class TestLiftSchur:
         with pytest.raises(InputError):
             lift_general(Coloring(5, (0, 1, 2, 2, 3)), 2, 1)
 
+    def test_preserves_rainbow_freeness_over_all_small_bases(self):
+        # every rainbow-free base of Z_t, t <= 6 (not only the canonical ones)
+        for t in range(2, 7):
+            bases = list(iter_rainbow_free_colorings(CyclicInstance(t, 1), min_r=1))
+            assert bases
+            for base in bases:
+                for q in (2, 3, 5):
+                    lifted = lift_general(base, q, 1)  # self-verifying
+                    added = 1 if q in (2, 3) else 2
+                    assert lifted.num_colors() == base.num_colors() + added
+
 
 class TestWitnessSchur:
     """The k = 1 witness is witness_general with the unit coefficient."""
@@ -167,7 +178,7 @@ class TestLiftGeneral:
 
     def test_preserves_rainbow_freeness_over_all_small_bases(self):
         # every rainbow-free base of Z_t, t <= 6 (not only the canonical ones)
-        for p, qs in ((1, (2, 3, 5)), (3, (2, 5, 7)), (5, (2, 3, 7))):
+        for p, qs in ((3, (2, 5, 7)), (5, (2, 3, 7))):
             for t in range(2, 7):
                 bases = list(iter_rainbow_free_colorings(CyclicInstance(t, p), min_r=1))
                 assert bases
