@@ -23,7 +23,7 @@ from .coloring import (
     project_schur,
     residue_palettes,
 )
-from .constructions import lift_general, witness_general, witness_prime_power
+from .constructions import lift_general, witness_general
 from .errors import (
     CertificateError,
     ConstructionError,
@@ -32,13 +32,7 @@ from .errors import (
     SearchInconclusiveError,
     UnsupportedCaseError,
 )
-from .formulas import (
-    rb_formula,
-    rb_general,
-    rb_prime_power,
-    rb_q_p,
-    rb_schur,
-)
+from .formulas import rb_formula, rb_general, rb_schur
 from .modcore import (
     CyclicInstance,
     Triple,

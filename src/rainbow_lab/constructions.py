@@ -48,8 +48,8 @@ def _q_pattern(q: int, p: int) -> list[int]:
     return [0 if x == 0 else (1 if x in orbit else 2) for x in range(q)]
 
 
-def witness_prime_power(p: int, alpha: int) -> Coloring:
-    """Maximum coloring of Z_{p^alpha} for k=p.
+def _prime_power_witness(p: int, alpha: int) -> Coloring:
+    """Maximum coloring of Z_{p^alpha} for k=p, p prime and alpha >= 1.
 
     p >= 5: color residue classes R_i and R_{p-i} mod p alike, (p+1)/2 colors;
     for alpha = 1 that is c(x) = min(x, p-x), rainbow-free because every
@@ -60,10 +60,6 @@ def witness_prime_power(p: int, alpha: int) -> Coloring:
     """
     if p == 2:
         raise UnsupportedCaseError("k = 2 witnesses are outside the constructions")
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    if alpha < 1:
-        raise InputError(f"alpha must be >= 1, got {alpha}")
     n = p**alpha
     if p >= 5:
         colors = [min(x % p, p - x % p) for x in range(n)]
@@ -71,7 +67,7 @@ def witness_prime_power(p: int, alpha: int) -> Coloring:
         colors = [0, 1, 1]
     else:
         colors = [_Z9_WITNESS[x % 9] for x in range(n)]
-    return _verified(colors, n, p, f"witness_prime_power({p}, {alpha})")
+    return _verified(colors, n, p, f"_prime_power_witness({p}, {alpha})")
 
 
 def lift_general(base: Coloring, q: int, p: int) -> Coloring:
@@ -90,16 +86,16 @@ def lift_general(base: Coloring, q: int, p: int) -> Coloring:
     if not _rainbow_free(base, p):
         raise InputError(f"base coloring is not rainbow-free for k={p}")
     t = base.n
-    r = base.num_colors()
+    top = max(base.colors)
     pattern = _q_pattern(q, p)
-    # pattern's nonzero classes carry ids 1 and 2; its {0} class is never hit
-    # because q does not divide x here
+    # fresh ids top + 1 and top + 2 (the pattern's nonzero classes) clear any
+    # base id; its {0} class is never hit because q does not divide x here
     colors = []
     for x in range(q * t):
         if x % q == 0:
             colors.append(base.colors[x // q])
         else:
-            colors.append(r - 1 + pattern[x % q])
+            colors.append(top + pattern[x % q])
     return _verified(colors, q * t, p, f"lift_general(t={t}, q={q}, p={p})")
 
 
@@ -117,9 +113,10 @@ def witness_general(n: int, p: int) -> Coloring:
             alpha = exp
         else:
             rest.extend([prime] * exp)
-    # witness_prime_power raises UnsupportedCaseError for p = 2, and
-    # lift_general rejects a p that is neither 1 nor prime
-    c = witness_prime_power(p, alpha) if alpha else Coloring(1, (0,))
+    # alpha >= 1 only when p is a prime factor of n; _prime_power_witness
+    # raises UnsupportedCaseError for p = 2, and lift_general rejects a p that
+    # is neither 1 nor prime
+    c = _prime_power_witness(p, alpha) if alpha else Coloring(1, (0,))
     for q in rest:
         c = lift_general(c, q, p)
     return c

@@ -1,16 +1,18 @@
 """Closed-form rainbow numbers, composed exactly as the theorems prescribe.
 
-rb(Z_q, p) for a prime modulus q via the multiplicative order of p,
-rb(Z_{p^a}, p) for a prime p, the recursion rb_general for rb(Z_n, p) over
-the prime factorization of n, and rb_formula, the one place that decides
-which (n, k) have a closed form: k mod n equal to 1 or a prime, or 0 with n
-prime (the paper's k = p on Z_p). k = 1 is the unit case of the recursion:
+Two public entry points: rb_general, the recursion for rb(Z_n, p) over the
+prime factorization of n, and rb_formula, the one place that decides which
+(n, k) have a closed form: k mod n equal to 1 or a prime, or 0 with n prime
+(the paper's k = p on Z_p). The recursion's two base cases are private
+helpers: _rb_q, rb(Z_q, p) for a prime modulus q via the multiplicative
+order of p (rb(Z_q, p) is rb_general(q, p)), and _rb_prime_power,
+rb(Z_{p^a}, p) for a prime p. k = 1 is the unit case of the recursion:
 1 has order 1 in every Z_q^*, so rb(Z_q, 1) is 3 for q in {2, 3} and 4
 otherwise, no prime factor equals 1, and the recursion becomes the Schur
 factorization formula 2 + sum of alpha_i * (rb(Z_{q_i}, 1) - 2). The k = 2
-power-of-two base rb(Z_{2^a}, 2) has no closed form: for a <= 5
-rb_prime_power returns a built-in value the exhaustive oracle certifies, and
-for larger a it raises UnsupportedCaseError. This module reads no file and
+power-of-two base rb(Z_{2^a}, 2) has no closed form: for a <= 5 it is a
+built-in value the exhaustive oracle certifies, and for larger a
+rb_general raises UnsupportedCaseError. This module reads no file and
 never runs the search: the oracle checks these values, it does not supply
 them.
 """
@@ -25,57 +27,31 @@ from .results import Method, RbResult
 _TWO_POWER_RB = {1: 3, 2: 3, 3: 3, 4: 3, 5: 3}
 
 
-def rb_q_p(q: int, p: int) -> RbResult:
+def _rb_q(q: int, p: int) -> int:
     """rb(Z_q, p) for a prime q and p = 1 or a prime other than q: 3 iff p
     generates Z_q^* or the order of p is (q-1)/2 with (q-1)/2 odd; otherwise 4."""
-    if not is_prime(q) or not (p == 1 or is_prime(p)):
-        raise InputError(f"q must be prime and p 1 or prime, got q={q}, p={p}")
-    if q == p:
-        raise InputError("q and p must be distinct primes")
-    a = p % q  # the conditions live in Z_q^*
-    order = multiplicative_order(a, q)
+    order = multiplicative_order(p % q, q)  # the conditions live in Z_q^*
     half = (q - 1) // 2
-    generator = order == q - 1
-    half_odd = order == half and half % 2 == 1
-    value = 3 if (generator or half_odd) else 4
-    return RbResult(
-        value=value,
-        method=Method.Q_P,
-        detail={
-            "q": q,
-            "p": p,
-            "order": order,
-            "generates_full_group": generator,
-            "half_order_odd": half_odd,
-        },
-    )
+    return 3 if order == q - 1 or (order == half and half % 2 == 1) else 4
 
 
-def rb_prime_power(p: int, alpha: int) -> RbResult:
-    """rb(Z_{p^alpha}, p) for a prime p.
+def _rb_prime_power(p: int, alpha: int) -> int:
+    """rb(Z_{p^alpha}, p) for a prime p and alpha >= 1.
 
     3 for (p, alpha) = (3, 1); 4 for p = 3, alpha >= 2; (p+1)/2 + 1 for
     p >= 5. For p = 2 the built-in oracle-certified value for alpha <= 5;
     a larger alpha raises UnsupportedCaseError.
     """
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    if alpha < 1:
-        raise InputError(f"alpha must be >= 1, got {alpha}")
     if p == 2:
         if alpha not in _TWO_POWER_RB:
             raise UnsupportedCaseError(
                 f"no closed form for rb(Z_{{2^{alpha}}}, 2): it is known only "
                 f"for exponents up to {max(_TWO_POWER_RB)}"
             )
-        value = _TWO_POWER_RB[alpha]
-    elif p == 3:
-        value = 3 if alpha == 1 else 4
-    else:
-        value = (p + 1) // 2 + 1
-    return RbResult(
-        value=value, method=Method.PRIME_POWER, detail={"p": p, "alpha": alpha}
-    )
+        return _TWO_POWER_RB[alpha]
+    if p == 3:
+        return 3 if alpha == 1 else 4
+    return (p + 1) // 2 + 1
 
 
 def rb_general(n: int, p: int) -> RbResult:
@@ -83,8 +59,8 @@ def rb_general(n: int, p: int) -> RbResult:
     n = p^alpha * prod q_i^{alpha_i}:
 
     rb(Z_{p^alpha}, p) + sum of alpha_i * (rb(Z_{q_i}, p) - 2), with the
-    alpha = 0 base taken as 2. For p = 1, alpha is always 0. The base comes
-    from rb_prime_power, so for p = 2 and alpha >= 6 this raises
+    alpha = 0 base taken as 2. For p = 1, alpha is always 0. For p = 2 and
+    alpha >= 6 the base has no closed form and this raises
     UnsupportedCaseError.
     """
     if not (p == 1 or is_prime(p)):
@@ -98,13 +74,13 @@ def rb_general(n: int, p: int) -> RbResult:
         if prime == p:
             alpha = exp
         else:
-            rb_q = rb_q_p(prime, p).value
+            rb_q = _rb_q(prime, p)
             contribution = exp * (rb_q - 2)
             value += contribution
             terms.append(
                 {"q": prime, "alpha": exp, "rb_q_p": rb_q, "contribution": contribution}
             )
-    base = rb_prime_power(p, alpha).value if alpha else 2
+    base = _rb_prime_power(p, alpha) if alpha else 2
     return RbResult(
         value=base + value,
         method=Method.GENERAL_RECURSION,

@@ -10,8 +10,6 @@ if TYPE_CHECKING:
 
 
 class Method(Enum):
-    Q_P = "formula-q-p"
-    PRIME_POWER = "formula-prime-power"
     GENERAL_RECURSION = "formula-general-recursion"
     ORACLE = "oracle"
 

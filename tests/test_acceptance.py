@@ -11,10 +11,10 @@ import pytest
 
 from rainbow_lab.coloring import Coloring, classify_3coloring_LM, is_rainbow_free
 from rainbow_lab.coloring import LMCase
-from rainbow_lab.formulas import rb_general, rb_prime_power, rb_q_p
+from rainbow_lab.formulas import rb_general
 from rainbow_lab.modcore import CyclicInstance, is_prime, prime_factorize
 from rainbow_lab.search import SearchConfig, iter_rainbow_free_colorings, rb_oracle
-from rainbow_lab.constructions import witness_general, witness_prime_power
+from rainbow_lab.constructions import witness_general
 
 from conftest import canonical_colorings
 
@@ -53,15 +53,15 @@ def test_criterion_3_cross_prime():
                 continue
             res = rb_oracle(CyclicInstance(q, p), SearchConfig(time_budget=10.0))
             assert res.conclusive, f"(q={q}, p={p}) not exhausted within 10 s"
-            expected = rb_q_p(q, p).value
+            expected = rb_general(q, p).value
             assert res.value == expected, (q, p, res.value, expected)
             worst = max(worst, res.detail["elapsed"])
             checked += 1
-    assert rb_q_p(7, 2).value == 3
-    assert rb_q_p(7, 3).value == 3
-    assert rb_q_p(13, 3).value == 4
+    assert rb_general(7, 2).value == 3
+    assert rb_general(7, 3).value == 3
+    assert rb_general(13, 3).value == 4
     print(
-        f"criterion 3: PASS — rb_oracle(q,p) == rb_q_p on {checked} ordered pairs "
+        f"criterion 3: PASS — rb_oracle(q,p) == rb_general(q,p) on {checked} ordered pairs "
         f"(slowest {worst:.2f} s < 10 s)"
     )
 
@@ -71,14 +71,14 @@ def test_criterion_4_prime_powers():
         n = p**alpha
         res = rb_oracle(CyclicInstance(n, p), SearchConfig(time_budget=60.0))
         assert res.conclusive, f"Z_{n}, k={p} not exhausted within 60 s"
-        assert res.value == rb_prime_power(p, alpha).value, (p, alpha, res.value)
+        assert res.value == rb_general(p**alpha, p).value, (p, alpha, res.value)
 
     # Z_27, k=3: witness only
-    w27 = witness_prime_power(3, 3)
+    w27 = witness_general(3**3, 3)
     assert w27.num_colors() == 3 and is_rainbow_free(w27, 3)
 
     # Z_25, k=5: witness + oracle
-    w25 = witness_prime_power(5, 2)
+    w25 = witness_general(5**2, 5)
     assert w25.num_colors() == 3 and is_rainbow_free(w25, 5)
     res = rb_oracle(CyclicInstance(25, 5), BUDGET_60S)
     assert res.conclusive, "Z_25, k=5 not exhausted within 60 s"
@@ -104,30 +104,30 @@ def test_criterion_6_construction_suite():
     count = 0
     for p in (5, 7, 11, 13):
         w = witness_general(p, 1)
-        assert is_rainbow_free(w, 1) and w.num_colors() == rb_q_p(p, 1).value - 1
+        assert is_rainbow_free(w, 1) and w.num_colors() == rb_general(p, 1).value - 1
         count += 1
     for n in range(2, 25):
         w = witness_general(n, 1)
         assert is_rainbow_free(w, 1) and w.num_colors() == rb_general(n, 1).value - 1
         count += 1
     for p in (3, 5, 7, 11, 13):
-        w = witness_prime_power(p, 1)
-        assert is_rainbow_free(w, p) and w.num_colors() == rb_prime_power(p, 1).value - 1
+        w = witness_general(p, p)
+        assert is_rainbow_free(w, p) and w.num_colors() == rb_general(p, p).value - 1
         count += 1
     primes = [p for p in range(2, 18) if is_prime(p)]
     for q in primes:
         for p in primes:
             if p == q or q == 2:
                 continue
-            if rb_q_p(q, p).value != 4:
+            if rb_general(q, p).value != 4:
                 continue
             w = witness_general(q, p)
             assert is_rainbow_free(w, p) and w.num_colors() == 3
             count += 1
     for p, alpha in [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]:
-        w = witness_prime_power(p, alpha)
+        w = witness_general(p**alpha, p)
         assert is_rainbow_free(w, p)
-        assert w.num_colors() == rb_prime_power(p, alpha).value - 1
+        assert w.num_colors() == rb_general(p**alpha, p).value - 1
         count += 1
     for p in (3, 5):
         for n in range(2, 46):

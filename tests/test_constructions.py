@@ -1,9 +1,9 @@
 import pytest
 
 from rainbow_lab.coloring import Coloring, check_symmetry, is_rainbow_free
-from rainbow_lab.constructions import lift_general, witness_general, witness_prime_power
+from rainbow_lab.constructions import lift_general, witness_general
 from rainbow_lab.errors import InputError, UnsupportedCaseError
-from rainbow_lab.formulas import rb_general, rb_q_p
+from rainbow_lab.formulas import rb_general
 from rainbow_lab.modcore import CyclicInstance, is_prime
 from rainbow_lab.search import SearchConfig, iter_rainbow_free_colorings, rb_oracle
 
@@ -17,7 +17,7 @@ class TestWitnessSchurPrime:
 
     def test_color_count_matches_formula(self):
         for p in (5, 7, 11, 13):
-            assert witness_general(p, 1).num_colors() == rb_q_p(p, 1).value - 1
+            assert witness_general(p, 1).num_colors() == rb_general(p, 1).value - 1
 
 
 class TestLiftSchur:
@@ -60,23 +60,23 @@ class TestWitnessSchur:
 
 
 class TestWitnessKEqualsP:
-    """The maximum coloring of Z_p for k = p is witness_prime_power(p, 1)."""
+    """The maximum coloring of Z_p for k = p is witness_general(p, p)."""
 
     def test_explicit_forms(self):
-        assert witness_prime_power(5, 1).colors == (0, 1, 2, 2, 1)
-        assert witness_prime_power(7, 1).colors == (0, 1, 2, 3, 3, 2, 1)
-        assert witness_prime_power(3, 1).colors == (0, 1, 1)
+        assert witness_general(5, 5).colors == (0, 1, 2, 2, 1)
+        assert witness_general(7, 7).colors == (0, 1, 2, 3, 3, 2, 1)
+        assert witness_general(3, 3).colors == (0, 1, 1)
 
     @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
     def test_count_and_symmetry(self, p):
-        w = witness_prime_power(p, 1)
+        w = witness_general(p, p)
         assert w.num_colors() == (p + 1) // 2
         assert check_symmetry(w)
         assert is_rainbow_free(w, p)
 
     def test_rejects_two(self):
         with pytest.raises(UnsupportedCaseError):
-            witness_prime_power(2, 1)
+            witness_general(2, 2)
 
 
 class TestWitnessQP:
@@ -94,7 +94,7 @@ class TestWitnessQP:
             (q, p)
             for p in (2, 3, 5, 7, 11, 13, 17)
             for q in (3, 5, 7, 11, 13, 17)
-            if p != q and rb_q_p(q, p).value == 4
+            if p != q and rb_general(q, p).value == 4
         ]
         assert (13, 3) in pairs and (17, 2) in pairs
         for q, p in pairs:
@@ -117,7 +117,7 @@ class TestMaxColoringQSymmetric:
         for q in primes:
             for p in [1] + [x for x in primes if x < 30 and x != q]:
                 c = witness_general(q, p)
-                assert c.num_colors() == rb_q_p(q, p).value - 1, (q, p)
+                assert c.num_colors() == rb_general(q, p).value - 1, (q, p)
                 assert check_symmetry(c), (q, p)
                 assert c.color_classes()[c.colors[0]] == {0}, (q, p)
                 assert is_rainbow_free(c, p), (q, p)
@@ -127,25 +127,25 @@ class TestWitnessPrimePower:
     def test_color_counts(self):
         expected = {(3, 1): 2, (3, 2): 3, (3, 3): 3, (5, 1): 3, (5, 2): 3, (7, 1): 4}
         for (p, alpha), colors in expected.items():
-            w = witness_prime_power(p, alpha)
+            w = witness_general(p**alpha, p)
             assert w.n == p**alpha
             assert w.num_colors() == colors
             assert is_rainbow_free(w, p)
 
     def test_z27_repeats_z9_pattern(self):
-        w27 = witness_prime_power(3, 3)
-        w9 = witness_prime_power(3, 2)
+        w27 = witness_general(3**3, 3)
+        w9 = witness_general(3**2, 3)
         assert w27.colors == tuple(w9.colors[x % 9] for x in range(27))
 
     def test_p_two_unsupported(self):
         with pytest.raises(UnsupportedCaseError):
-            witness_prime_power(2, 2)
+            witness_general(2**2, 2)
 
 
 class TestZ9Certificate:
     def test_cached_witness_matches_regeneration(self):
         # the built-in Z_9 constant is the oracle's lex-least maximum coloring
-        cached = witness_prime_power(3, 2)
+        cached = witness_general(3**2, 3)
         assert cached.num_colors() == 3
         assert is_rainbow_free(cached, 3)
         regenerated = rb_oracle(CyclicInstance(9, 3), SearchConfig(time_budget=60.0))
@@ -169,6 +169,13 @@ class TestLiftGeneral:
         with pytest.raises(InputError):
             lift_general(Coloring(3, (0, 1, 1)), 3, 3)
 
+    def test_fresh_colors_avoid_base_ids(self):
+        # a base whose ids are not 0..r-1 keeps its classes apart from the
+        # lifted ones: {0, 2} must not absorb a fresh color
+        lifted = lift_general(Coloring(2, (0, 2)), 5, 1)
+        assert lifted.num_colors() == 4
+        assert is_rainbow_free(lifted, 1)
+
     @pytest.mark.parametrize("p", (0, 4, 9))
     def test_rejects_p_neither_one_nor_prime(self, p):
         with pytest.raises(InputError, match="neither 1 nor prime"):
@@ -185,7 +192,7 @@ class TestLiftGeneral:
                 for base in bases:
                     for q in qs:
                         lifted = lift_general(base, q, p)  # self-verifying
-                        added = rb_q_p(q, p).value - 2
+                        added = rb_general(q, p).value - 2
                         assert lifted.num_colors() == base.num_colors() + added
 
 
@@ -193,7 +200,8 @@ class TestWitnessGeneral:
     def test_examples(self):
         assert witness_general(15, 3).num_colors() == 3
         assert witness_general(45, 3).num_colors() == 4
-        assert witness_general(25, 5) == witness_prime_power(5, 2)
+        w5 = witness_general(5, 5)
+        assert witness_general(25, 5).colors == tuple(w5.colors[x % 5] for x in range(25))
         assert witness_general(5, 3).num_colors() == 2
 
     @pytest.mark.parametrize("p", (3, 5))

@@ -2,30 +2,20 @@ import pytest
 
 from rainbow_lab import formulas
 from rainbow_lab.errors import InputError, UnsupportedCaseError
-from rainbow_lab.formulas import (
-    rb_formula,
-    rb_general,
-    rb_prime_power,
-    rb_q_p,
-    rb_schur,
-)
+from rainbow_lab.formulas import rb_formula, rb_general, rb_schur
 from rainbow_lab.modcore import CyclicInstance
 from rainbow_lab.results import Method
 from rainbow_lab.search import rb_oracle
 
 
 class TestRbSchurPrime:
-    """rb(Z_q, 1) is rb_q_p with the unit coefficient."""
+    """rb(Z_q, 1) is rb_general on a prime modulus with the unit coefficient."""
 
     def test_values(self):
-        assert rb_q_p(2, 1).value == 3
-        assert rb_q_p(3, 1).value == 3
-        assert rb_q_p(5, 1).value == 4
-        assert rb_q_p(13, 1).value == 4
-
-    def test_rejects_composite(self):
-        with pytest.raises(InputError):
-            rb_q_p(9, 1)
+        assert rb_general(2, 1).value == 3
+        assert rb_general(3, 1).value == 3
+        assert rb_general(5, 1).value == 4
+        assert rb_general(13, 1).value == 4
 
 
 class TestRbSchur:
@@ -66,47 +56,35 @@ class TestRbSchur:
 
 class TestRbQP:
     def test_values(self):
-        assert rb_q_p(7, 3).value == 3  # 3 generates Z_7^*
-        assert rb_q_p(7, 2).value == 3  # order 3 = (7-1)/2, odd
-        assert rb_q_p(13, 3).value == 4  # order 3, neither condition
+        assert rb_general(7, 3).value == 3  # 3 generates Z_7^*
+        assert rb_general(7, 2).value == 3  # order 3 = (7-1)/2, odd
+        assert rb_general(13, 3).value == 4  # order 3, neither condition
 
     def test_coefficient_reduced_mod_q(self):
         # 23 = 2 (mod 7), so the conditions are those of p = 2
-        assert rb_q_p(7, 23).value == rb_q_p(7, 2).value == 3
-
-    def test_detail_records_conditions(self):
-        detail = rb_q_p(7, 2).detail
-        assert detail["order"] == 3
-        assert not detail["generates_full_group"]
-        assert detail["half_order_odd"]
-
-    def test_rejects_equal_or_composite(self):
-        with pytest.raises(InputError):
-            rb_q_p(7, 7)
-        with pytest.raises(InputError):
-            rb_q_p(9, 2)
+        assert rb_general(7, 23).value == rb_general(7, 2).value == 3
 
 
 class TestRbPrimePower:
     def test_values(self):
-        assert rb_prime_power(3, 1).value == 3
-        assert rb_prime_power(3, 2).value == 4
-        assert rb_prime_power(3, 5).value == 4
-        assert rb_prime_power(5, 1).value == 4  # (5+1)/2 + 1
-        assert rb_prime_power(5, 2).value == 4
-        assert rb_prime_power(7, 1).value == 5
+        assert rb_general(3, 3).value == 3
+        assert rb_general(3**2, 3).value == 4
+        assert rb_general(3**5, 3).value == 4
+        assert rb_general(5, 5).value == 4  # (5+1)/2 + 1
+        assert rb_general(5**2, 5).value == 4
+        assert rb_general(7, 7).value == 5
 
     def test_p_two_base_is_built_in(self):
         for a in formulas._TWO_POWER_RB:
-            assert rb_prime_power(2, a).value == rb_general(2**a, 2).value
+            assert rb_general(2**a, 2).value == formulas._TWO_POWER_RB[a]
         with pytest.raises(UnsupportedCaseError, match=r"2\^6"):
-            rb_prime_power(2, 6)
+            rb_general(2**6, 2)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(InputError):
-            rb_prime_power(9, 1)
+            rb_general(9, 9)
         with pytest.raises(InputError):
-            rb_prime_power(5, 0)
+            rb_general(1, 5)
 
 
 class TestRbGeneral:
@@ -157,18 +135,3 @@ class TestRbFormula:
             with pytest.raises(UnsupportedCaseError):
                 rb_formula(n, k)
 
-
-class TestConsistency:
-    def test_general_matches_q_p_on_single_primes(self):
-        primes = [2, 3, 5, 7, 11, 13]
-        for p in primes:
-            for q in primes:
-                if p != q:
-                    assert rb_general(q, p).value == rb_q_p(q, p).value, (q, p)
-
-    def test_general_matches_prime_power(self):
-        for p in (3, 5):
-            for alpha in (1, 2, 3):
-                assert (
-                    rb_general(p**alpha, p).value == rb_prime_power(p, alpha).value
-                )

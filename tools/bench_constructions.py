@@ -22,6 +22,12 @@ cli.main(["witness", ..., "--out", path]) and one cli.main(["verify", path])
 certificate file included), and `rainbow-lab witness --out` from a fresh
 interpreter for Z_45 and Z_1301 with k = 1 (milliseconds, median of
 FRESH_RUNS).
+
+Timings move between runs more than most changes do; the route, color count
+and scan count of each witness do not. So when the output file already holds
+a `parent` entry and --label is not `parent`, every pair whose route, colors
+or scans differ from the parent's is printed and the script exits 1 (after
+writing its result).
 """
 from __future__ import annotations
 
@@ -149,16 +155,33 @@ def measure() -> dict:
     }
 
 
+def witness_mismatches(parent: dict, result: dict) -> list[str]:
+    """One line per pair whose route, colors or scans differ from the parent's."""
+    lines = []
+    for name, got in result["witness"].items():
+        want = parent.get("witness", {}).get(name, {})
+        for field in ("route", "colors", "scans"):
+            if want.get(field) != got[field]:
+                lines.append(f"{name}: {field} {got[field]}, parent {want.get(field)}")
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key the result is stored under")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_constructions.json"))
     args = parser.parse_args()
     result = measure()
-    store(args.out, args.label, result)
+    doc = store(args.out, args.label, result)
     print(json.dumps({args.label: {k: v for k, v in result.items() if k != "witness"}}, indent=1))
     for key in ("n=1009,k=1", "n=1301,k=1"):
         print(key, result["witness"][key])
+    if args.label != "parent" and "parent" in doc:
+        mismatches = witness_mismatches(doc["parent"], result)
+        for line in mismatches:
+            print(line, file=sys.stderr)
+        if mismatches:
+            return 1
     return 0
 
 
