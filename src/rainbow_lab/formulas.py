@@ -78,7 +78,7 @@ def rb_general(n: int, p: int) -> RbResult:
             contribution = exp * (rb_q - 2)
             value += contribution
             terms.append(
-                {"q": prime, "alpha": exp, "rb_q_p": rb_q, "contribution": contribution}
+                {"q": prime, "alpha": exp, "rb_q": rb_q, "contribution": contribution}
             )
     base = _rb_prime_power(p, alpha) if alpha else 2
     return RbResult(

@@ -4,8 +4,9 @@ The session-scoped fixtures cache the expensive rainbow-free enumerations so
 the property suites and the acceptance suite traverse each search space once.
 The brute-force helpers deliberately avoid the package's triple index and
 solution tables: they are the independent cross-check for the search kernel
-and the rainbow scan. The reference LM classifier keeps the plain form that
-tries case 3 at every dilation.
+and the rainbow scan. The one exception, reference_pair_scan, is itself
+checked against the brute force. The reference LM classifier keeps the plain
+form that tries case 3 at every dilation.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from rainbow_lab.modcore import (
     is_prime,
     is_symmetric_subset,
     prime_factorize,
+    solutions_by_sum,
 )
 from rainbow_lab.search import iter_rainbow_free_colorings
 
@@ -121,6 +123,27 @@ def reference_rainbow_triple(c, k):
                 continue
             for x3 in range(n):
                 if (x1 + x2 - k * x3) % n == 0 and cols[x3] not in (cols[x1], cols[x2]):
+                    return Triple(x1, x2, x3)
+    return None
+
+
+def reference_pair_scan(c, k):
+    """The lexicographically least rainbow triple by the pair walk alone:
+    each unordered pair x1 < x2 of different colors in lexicographic order,
+    x3 read from the package's solutions table. It is checked against
+    reference_rainbow_triple on small n, and it is the reference on the long
+    colorings where the scan finishes rows off bit masks."""
+    n, cols = c.n, c.colors
+    sols = solutions_by_sum(n, k)
+    for x1 in range(n):
+        c1 = cols[x1]
+        for x2 in range(x1 + 1, n):
+            c2 = cols[x2]
+            if c1 == c2:
+                continue
+            for x3 in sols[(x1 + x2) % n]:
+                c3 = cols[x3]
+                if c3 != c1 and c3 != c2:
                     return Triple(x1, x2, x3)
     return None
 

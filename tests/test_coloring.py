@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +20,8 @@ from rainbow_lab.coloring import (
     project_schur,
     residue_palettes,
 )
-from rainbow_lab.errors import InputError
+from rainbow_lab.constructions import witness_general
+from rainbow_lab.errors import InputError, UnsupportedCaseError
 from rainbow_lab.modcore import CyclicInstance, Triple
 from rainbow_lab.search import iter_rainbow_free_colorings
 
@@ -284,11 +286,86 @@ class TestCheckingMatchesReference:
     def test_scan_returns_the_reference_triple(self, n):
         # every coloring with at most 3 colors, up to relabeling, which
         # leaves the rainbow triples unchanged
-        from conftest import canonical_colorings, reference_rainbow_triple
+        from conftest import canonical_colorings, reference_pair_scan, reference_rainbow_triple
 
         for cols in canonical_colorings(n):
             if max(cols) > 2:
                 continue
             c = Coloring(n, cols)
             for k in range(n):
-                assert find_rainbow_triple(c, k) == reference_rainbow_triple(c, k), (cols, k)
+                expected = reference_rainbow_triple(c, k)
+                assert find_rainbow_triple(c, k) == expected, (cols, k)
+                assert reference_pair_scan(c, k) == expected, (cols, k)
+
+
+def _witnesses():
+    """(witness_general(n, k), k) for n <= 200 and k in {1, 3, 5, n}, where
+    a construction exists."""
+    out = []
+    for n in range(2, 201):
+        for k in (1, 3, 5, n):
+            try:
+                out.append((witness_general(n, k), k))
+            except (InputError, UnsupportedCaseError):
+                pass
+    return out
+
+
+class TestScanMatchesPairWalk:
+    """The scan against conftest.reference_pair_scan on colorings long
+    enough (n >= 64) that rows after the first two are finished off bit
+    masks: read bit by bit or swept by color."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_colorings(self, seed):
+        from conftest import reference_pair_scan
+
+        rng = random.Random(seed)
+        for _ in range(100):
+            n = rng.randrange(20, 151)
+            # non-contiguous ids; ids above 255 leave every row to the walk
+            ids = rng.sample(range(300 if rng.random() < 0.2 else 40), rng.randrange(2, 7))
+            # a dominant color makes rainbow triples rare, so rows reach the masks
+            dominant = rng.choice((0.0, 0.9, 0.97))
+            cols = tuple(
+                ids[0] if rng.random() < dominant else rng.choice(ids) for _ in range(n)
+            )
+            c = Coloring(n, cols)
+            p = next(d for d in range(2, n + 1) if n % d == 0)
+            for k in (0, 1, n - 1, p * rng.randrange(1, 4), rng.randrange(n)):
+                assert find_rainbow_triple(c, k) == reference_pair_scan(c, k), (cols, k)
+
+    def test_witnesses_are_rainbow_free(self):
+        for w, k in _witnesses():
+            assert find_rainbow_triple(w, k) is None, (w.n, k)
+
+    def test_witnesses_with_a_late_position_recolored(self):
+        from conftest import reference_pair_scan
+
+        rng = random.Random(7)
+        for w, k in _witnesses():
+            cols = list(w.colors)
+            x = w.n - 1 - rng.randrange(min(w.n, 8))
+            cols[x] = rng.choice(sorted(set(cols) - {cols[x]}) + [max(cols) + 1])
+            c = Coloring(w.n, tuple(cols))
+            assert find_rainbow_triple(c, k) == reference_pair_scan(c, k), (w.n, k, x)
+
+
+class TestScanMemory:
+    """The masks stay O(n): a full scan of Z_1301 allocates under 64 KiB,
+    both on the 3-color k = 1 witness, where rows are read off the masks,
+    and on the 651-color k = 1301 (k = 0 mod n) witness, where masks for
+    every color would take over 300 KiB and none are built. The second
+    scan walks every pair under tracemalloc and takes about 12 s."""
+
+    @pytest.mark.parametrize("k", (1, 1301))
+    def test_full_scan_peak(self, k):
+        w = witness_general(1301, k)
+        assert find_rainbow_triple(w, k) is None  # also caches the solutions table
+        tracemalloc.start()
+        try:
+            assert find_rainbow_triple(w, k) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (w.num_colors(), peak)

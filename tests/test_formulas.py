@@ -30,10 +30,8 @@ class TestRbSchur:
         result = rb_general(12, 1)
         assert result.method is Method.GENERAL_RECURSION
         assert result.detail["base"] == 2
-        assert [(t["q"], t["alpha"], t["contribution"]) for t in result.detail["terms"]] == [
-            (2, 2, 2),
-            (3, 1, 1),
-        ]
+        terms = [(t["q"], t["alpha"], t["rb_q"], t["contribution"]) for t in result.detail["terms"]]
+        assert terms == [(2, 2, 3, 2), (3, 1, 3, 1)]
 
     def test_rejects_n_below_two(self):
         with pytest.raises(InputError):

@@ -11,8 +11,11 @@ Inputs are those of the benchmark's verify-classify workload: 4,000 seeded
 random exact 3-colorings of each of Z_11 and Z_13 with every k in 1..q-1
 (88,000 pairs). Classifier time is split by k (k = 2, k = -1, any other k);
 scan time is per call on the same pairs, where most calls exit early, and
-per full scan of a rainbow-free 3-coloring of Z_1009 and Z_1301. Every figure
-is the best and the median of several loops over the same inputs.
+per scan of long colorings (FULL_SCANS): the rainbow-free k = 1 witnesses of
+Z_1009, Z_1301 (3 colors) and Z_1024 (11 colors), the 651-color k = 0
+witness of Z_1301, and the Z_1301 k = 1 witness with position 1290
+recolored, whose least rainbow triple is found in row 11. Every figure is
+the best and the median of several loops over the same inputs.
 """
 from __future__ import annotations
 
@@ -37,7 +40,14 @@ QS = (11, 13)
 COLORINGS_PER_Q = 4000
 SEED = 5
 LOOPS = 5
-FULL_SCAN_NS = (1009, 1301)
+# name -> (n, k, the position recolored to color 1, or None for the witness)
+FULL_SCANS = {
+    "n=1009": (1009, 1, None),
+    "n=1301": (1301, 1, None),
+    "n=1024": (1024, 1, None),
+    "n=1301,k=0": (1301, 1301, None),
+    "n=1301,late": (1301, 1, 1290),
+}
 FULL_SCAN_LOOPS = 3
 
 
@@ -68,16 +78,22 @@ def per_call_us(fn, pairs, loops=LOOPS) -> dict:
     return {"best": round(min(times), 3), "median": round(statistics.median(times), 3), "calls": len(pairs)}
 
 
-def full_scan_ms(n: int) -> dict:
-    c = rl.witness_general(n, 1)
-    if rl.find_rainbow_triple(c, 1) is not None:
-        raise RuntimeError(f"the Z_{n} witness has a rainbow triple; no full scan to time")
+def full_scan_ms(n: int, k: int, recolored: int | None) -> dict:
+    c = rl.witness_general(n, k)
+    if recolored is not None:
+        c = rl.Coloring(n, c.colors[:recolored] + (1,) + c.colors[recolored + 1:])
+    triple = rl.find_rainbow_triple(c, k)
+    if (triple is None) != (recolored is None):
+        raise RuntimeError(f"Z_{n} k={k} recolored at {recolored}: unexpected scan result {triple}")
     times = []
     for _ in range(FULL_SCAN_LOOPS):
         t0 = time.perf_counter()
-        rl.find_rainbow_triple(c, 1)
+        rl.find_rainbow_triple(c, k)
         times.append((time.perf_counter() - t0) * 1e3)
-    return {"best": round(min(times), 2), "median": round(statistics.median(times), 2), "colors": c.num_colors()}
+    result = {"best": round(min(times), 2), "median": round(statistics.median(times), 2), "colors": c.num_colors()}
+    if triple is not None:
+        result["triple"] = list(triple)
+    return result
 
 
 def git_sha() -> str | None:
@@ -134,7 +150,7 @@ def measure() -> dict:
         **provenance(),
         "classify_us_per_call": classify,
         "scan_us_per_call_workload_pairs": per_call_us(rl.find_rainbow_triple, every),
-        "full_scan_ms": {f"n={n}": full_scan_ms(n) for n in FULL_SCAN_NS},
+        "full_scan_ms": {name: full_scan_ms(*shape) for name, shape in FULL_SCANS.items()},
     }
 
 

@@ -13,7 +13,7 @@ oracle. Inputs: every n in 2..45 with k in {1, 3, 5}, the pairs of the
 benchmark's verify-classify certificates, and the primes 1009 and 1301 with
 k = 1, those of its large-n workload. Per (n, k) it reports microseconds per
 call (best and median of several timed loops), the number of
-find_rainbow_triple calls one witness makes (each an O(n^2) scan on a
+find_rainbow_triple calls one witness makes (each a full scan of a
 rainbow-free coloring), the route tag and the color count.
 
 End to end, per n <= 45 pair, it also times one in-process
