@@ -7,10 +7,11 @@ of Z_q.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
-from operator import itemgetter
+from itertools import islice, repeat
+from operator import ne
 from typing import Optional
 
 from .errors import InputError
@@ -78,17 +79,17 @@ def is_canonical(colors) -> bool:
     return True
 
 
-# Rows walked pair by pair before the masks are built: about 2n pairs, where
-# nearly every coloring that has a rainbow triple shows one.
+# Rows walked pair by pair before the scan starts counting colors: about 2n
+# pairs, where nearly every coloring that has a rainbow triple shows one.
 _WALK_ROWS = 2
-# Below this n every row is walked: on the k = 1, 3, 5 witnesses the masks
-# repay their build from about n = 45.
-_SWEEP_MIN_N = 64
-# Row costs, in visits to a same-colored pair (about 40 ns on CPython 3.11):
-_DIFF_PAIR = 5  # visit to a differently colored pair, which reads its x3
-_MASK_READ = 12  # one x2 read off a mask of about 1000 bits
-_SWEEP_TERM = 12  # one color's term of a sweep, per color
-_MAX_SWEEP_COLORS = 64  # bounds the masks at 3 * 64 * n bits
+# Below this n every row is walked.
+_MASK_MIN_N = 64
+# A row is read off its mask when c(x1) fills at least 7/8 of the positions
+# after x1. Costed in visits to a same-colored pair (about 40 ns on CPython
+# 3.11), a differently colored pair costs 5 and a read of one x2 off a mask
+# of about 1000 bits 12, so d reads beat a walk of `span` pairs, d of them
+# differently colored, when 12*d <= span + 4*d, that is when d <= span/8.
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def find_rainbow_triple(c: Coloring, k: int) -> Optional[Triple]:
@@ -96,59 +97,34 @@ def find_rainbow_triple(c: Coloring, k: int) -> Optional[Triple]:
 
     The equation is symmetric in x1 and x2, and the two carry different
     colors, so the least rainbow triple has x1 < x2. Rows x1 are finished in
-    increasing order, each in one of three ways:
+    increasing order, each in one of two ways, both visiting the x2 > x1 of
+    another color in increasing order and reading x3 from `solutions_by_sum`:
 
-    - walk: every x2 > x1 in increasing order, x3 read from
-      `solutions_by_sum`. The first rows (about 2n pairs) are always walked.
-    - bits: the x2 > x1 of another color, read off ~C_{c(x1)} in increasing
-      order, where C_c is the bit mask of the positions colored c.
-    - sweep: X2 = the union over colors c != c(x1) of
-      (K_c rotated by x1) & ~C_c, then & ~C_{c(x1)} & (bits > x1), where
-      K_c = {k*x3 mod n : c(x3) = c}. X2 is exactly the set of x2 > x1 that
-      close a rainbow triple with x1: its lowest bit is the least such x2,
-      and x3 the least solution of a third color.
+    - walk: every x2 > x1, skipping those of color c(x1). The first rows
+      (about 2n pairs), and every row when n < 64, are walked.
+    - bits: only the x2 of another color, read off a bit mask of the
+      positions after x1 not colored c(x1).
 
-    For n >= 64 the masks ~C_c are built after the first rows, unless no row
-    could gain from them (more than 64 colors, a color id above 255, or a
-    sweep would cost more than the next row's walk), and the K_c when a row
-    is first swept. Each later row takes the way with the fewest estimated
-    steps: its n-1-x1 pairs, one mask read per x2 of another color, or one
-    term per color. With r colors a long coloring costs O(n*r) operations
-    on n-bit masks, each about n/64 machine words, instead of O(n^2) pair
-    visits. The masks take O(n*r) bits; without them the scan holds O(1)
-    beyond the solutions table.
+    For n >= 64 the scan then counts, per color, the positions after x1
+    that carry it, so each later row knows how many x2 of another color it
+    has. A row without any is skipped; a row is read off its mask when one
+    read per such x2 is estimated cheaper than its n-1-x1 pair visits,
+    which needs c(x1) to fill 7/8 of the positions after x1. Such a row
+    costs a few operations on an n-bit integer, about n/64 machine words
+    each, per x2 of another color, instead of n-1-x1 pair visits.
+
+    A color's mask is built, with C-level byte operations, at its first row
+    that is read bit by bit, and shifted for its later ones. A color that
+    fills 7/8 of the positions after x1 has at most 1/7 of them left over
+    for the colors whose masks are built later, so all masks together take
+    under 7n/6 bits, and the counts one entry per color.
     """
     n = c.n
     cols = c.colors
     sols = solutions_by_sum(n, k)
-    others = None
-    for x1 in range(n):
+    walked = _WALK_ROWS if n >= _MASK_MIN_N else n
+    for x1 in range(walked):
         c1 = cols[x1]
-        if others:
-            todo = others[c1] >> (x1 + 1)  # bit i: x2 = x1 + 1 + i
-            diff = todo.bit_count()
-            walk = n - 1 - x1 + (_DIFF_PAIR - 1) * diff
-            bits = _MASK_READ * diff
-            if sweep_cost < walk and sweep_cost < bits:
-                if sweep is None:
-                    sweep = _sum_masks(cols, sols, others)
-                hits = 0
-                for c3, sums, other in sweep:
-                    if c3 != c1:
-                        hits |= (sums >> x1) & other
-                todo &= hits >> (x1 + 1)  # its lowest bit closes a triple
-                bits = 0
-            if bits <= walk:
-                while todo:
-                    low = todo & -todo
-                    todo ^= low
-                    x2 = x1 + low.bit_length()
-                    c2 = cols[x2]
-                    for x3 in sols[(x1 + x2) % n]:
-                        c3 = cols[x3]
-                        if c3 != c1 and c3 != c2:
-                            return Triple(x1, x2, x3)
-                continue
         for x2 in range(x1 + 1, n):
             c2 = cols[x2]
             if c1 == c2:
@@ -157,57 +133,45 @@ def find_rainbow_triple(c: Coloring, k: int) -> Optional[Triple]:
                 c3 = cols[x3]
                 if c3 != c1 and c3 != c2:
                     return Triple(x1, x2, x3)
-        if x1 == _WALK_ROWS - 1 and n >= _SWEEP_MIN_N:
-            others = _class_masks(cols, n - 2 - x1)
-            if others:
-                sweep, sweep_cost = None, _SWEEP_TERM * len(others)
+    if walked == n:
+        return None
+    # the rows after the first, each walked as above or read off a mask
+    later = dict(Counter(islice(cols, walked, None)))  # color -> its positions after x1
+    masks = {}  # color -> (x0, bit i set iff position x0 + 1 + i has another color)
+    for x1 in range(walked, n):
+        c1 = cols[x1]
+        same = later[c1] - 1
+        later[c1] = same
+        span = n - 1 - x1
+        if same == span:
+            continue  # no x2 of another color
+        if 8 * same < 7 * span:
+            for x2 in range(x1 + 1, n):
+                c2 = cols[x2]
+                if c1 == c2:
+                    continue
+                for x3 in sols[(x1 + x2) % n]:
+                    c3 = cols[x3]
+                    if c3 != c1 and c3 != c2:
+                        return Triple(x1, x2, x3)
+            continue
+        if c1 in masks:
+            x0, mask = masks[c1]
+            todo = mask >> (x1 - x0)  # bit i: x2 = x1 + 1 + i
+        else:
+            ne_c1 = bytes(map(ne, cols, repeat(c1)))[:x1:-1]
+            todo = int(ne_c1.translate(_BINARY_DIGITS), 2)
+            masks[c1] = (x1, todo)
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            x2 = x1 + low.bit_length()
+            c2 = cols[x2]
+            for x3 in sols[(x1 + x2) % n]:
+                c3 = cols[x3]
+                if c3 != c1 and c3 != c2:
+                    return Triple(x1, x2, x3)
     return None
-
-
-def _one_color(col: int) -> bytes:
-    """The bytes.translate table that maps col to b"1" and any other byte to b"0"."""
-    return b"0" * col + b"1" + b"0" * (255 - col)
-
-
-def _class_masks(cols, pairs):
-    """~C_c, the positions of other colors, for each color c; or None when
-    no row could gain from the masks: a color id does not fit in a byte,
-    there are more than _MAX_SWEEP_COLORS colors, or a sweep costs more than
-    a walk of `pairs` differently colored pairs."""
-    try:
-        at_position = bytes(cols)[::-1]  # bit x of int(..., 2) is position x
-    except ValueError:
-        return None
-    palette = set(at_position)
-    if len(palette) > _MAX_SWEEP_COLORS or _SWEEP_TERM * len(palette) >= _DIFF_PAIR * pairs:
-        return None
-    full = (1 << len(cols)) - 1
-    return {col: full ^ int(at_position.translate(_one_color(col)), 2) for col in palette}
-
-
-def _sum_masks(cols, sols, others):
-    """(c, K_c | K_c << n, ~C_c) for each color c. Doubled, K_c rotates
-    within its low n bits under a right shift by x1.
-
-    K_c is read off the color ids of the solutions in the order of `sols`.
-    There each solvable sum s = j*g (g = gcd(k, n)) holds a block of g
-    solutions, which are ORed into the block's first bit.
-    """
-    n = len(cols)
-    at_solution = bytes(itemgetter(*chain.from_iterable(sols))(cols))[::-1]
-    g = len(sols[0])
-    w = 1 << (g.bit_length() - 1)
-    starts = int(("0" * (g - 1) + "1") * (n // g), 2)
-    sweep = []
-    for col, other in others.items():
-        ks = int(at_solution.translate(_one_color(col)), 2)
-        span = 1
-        while span < w:  # then bit i is the OR of bits i .. i + w - 1
-            ks |= ks >> span
-            span *= 2
-        ks = (ks | ks >> (g - w)) & starts
-        sweep.append((col, ks | ks << n, other))
-    return sweep
 
 
 def is_rainbow_free(c: Coloring, k: int) -> bool:

@@ -313,8 +313,8 @@ def _witnesses():
 
 class TestScanMatchesPairWalk:
     """The scan against conftest.reference_pair_scan on colorings long
-    enough (n >= 64) that rows after the first two are finished off bit
-    masks: read bit by bit or swept by color."""
+    enough (n >= 64) that rows after the first two may be read off bit
+    masks."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_colorings(self, seed):
@@ -323,7 +323,7 @@ class TestScanMatchesPairWalk:
         rng = random.Random(seed)
         for _ in range(100):
             n = rng.randrange(20, 151)
-            # non-contiguous ids; ids above 255 leave every row to the walk
+            # non-contiguous ids, some above 255
             ids = rng.sample(range(300 if rng.random() < 0.2 else 40), rng.randrange(2, 7))
             # a dominant color makes rainbow triples rare, so rows reach the masks
             dominant = rng.choice((0.0, 0.9, 0.97))
@@ -352,20 +352,36 @@ class TestScanMatchesPairWalk:
 
 
 class TestScanMemory:
-    """The masks stay O(n): a full scan of Z_1301 allocates under 64 KiB,
-    both on the 3-color k = 1 witness, where rows are read off the masks,
-    and on the 651-color k = 1301 (k = 0 mod n) witness, where masks for
-    every color would take over 300 KiB and none are built. The second
-    scan walks every pair under tracemalloc and takes about 12 s."""
+    """The scan holds O(n) memory: masks for only the colors that fill 7/8
+    of a row, and one count per color. Both scans allocate under 64 KiB:
+    a full scan of the 3-color k = 1 witness of Z_1301, whose rows are
+    read off a mask, and a scan of a 250-color coloring of Z_4001 that
+    finds its rainbow triple in row 2, after the counts are taken; a
+    4001-bit mask for each of its colors would take over 130 KiB."""
 
-    @pytest.mark.parametrize("k", (1, 1301))
-    def test_full_scan_peak(self, k):
-        w = witness_general(1301, k)
-        assert find_rainbow_triple(w, k) is None  # also caches the solutions table
+    @staticmethod
+    def peak(c, k):
+        """The scan's result and its tracemalloc peak, the solutions table
+        cached by a first scan."""
+        find_rainbow_triple(c, k)
         tracemalloc.start()
         try:
-            assert find_rainbow_triple(w, k) is None
-            peak = tracemalloc.get_traced_memory()[1]
+            found = find_rainbow_triple(c, k)
+            return found, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 1024, (w.num_colors(), peak)
+
+    def test_full_scan_of_a_witness(self):
+        found, peak = self.peak(witness_general(1301, 1), 1)
+        assert found is None
+        assert peak < 64 * 1024, peak
+
+    def test_scan_of_a_many_colored_coloring(self):
+        # c(x) = c(-x) is rainbow-free for k = 0 (x2 = -x1); breaking that
+        # at x = 2 gives the least rainbow triple (2, n - 2, 0)
+        n = 4001
+        cols = [min(x, n - x) % 250 for x in range(n)]
+        cols[n - 2] = 249
+        found, peak = self.peak(Coloring(n, tuple(cols)), 0)
+        assert found == (2, n - 2, 0)
+        assert peak < 64 * 1024, peak
