@@ -135,7 +135,9 @@ def find_rainbow_triple(c: Coloring, k: int) -> Optional[Triple]:
                     return Triple(x1, x2, x3)
     if walked == n:
         return None
-    # the rows after the first, each walked as above or read off a mask
+    # The later rows, each skipped, walked or read off a mask. The walk is
+    # repeated rather than shared so that the loop above, where most scans
+    # end, pays no function call.
     later = dict(Counter(islice(cols, walked, None)))  # color -> its positions after x1
     masks = {}  # color -> (x0, bit i set iff position x0 + 1 + i has another color)
     for x1 in range(walked, n):
