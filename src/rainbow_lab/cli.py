@@ -41,7 +41,15 @@ def cmd_rb(args) -> int:
     if args.method in ("formula", "both"):
         formula = rb_formula(args.n, args.k)
     if args.method in ("search", "both"):
-        search = rb_oracle(inst, SearchConfig(time_budget=args.budget_secs))
+        # both: the construction's witness is a verified lower bound, so the
+        # oracle only has to refute one color more; search: the plain oracle
+        seed = _general_lift(args.n, args.k) if args.method == "both" else None
+        search = rb_oracle(inst, SearchConfig(time_budget=args.budget_secs), seed)
+        if seed is not None:
+            log.info(
+                "lower bound: %d colors from general-lift",
+                search.detail["lower_bound_r"],
+            )
         prunes = search.detail["prunes"]
         log.info(
             "prunes: empty domain %d, count bound %d",
@@ -77,15 +85,23 @@ def cmd_rb(args) -> int:
     return EXIT_OK
 
 
-def _construct_witness(n: int, k: int, budget: float):
-    """Pick the strongest applicable path: where rb_formula has a closed form
-    and a builder applies, witness_general for the coefficient its recursion
-    uses; else the search oracle's witness, which is None unless the search
-    is conclusive (only then is the witness a maximum coloring)."""
+def _general_lift(n: int, k: int):
+    """witness_general for the coefficient rb_formula's recursion uses, or
+    None where rb_formula has no closed form or no builder applies."""
     try:
-        return witness_general(n, rb_formula(n, k).detail["p"]), "general-lift"
+        return witness_general(n, rb_formula(n, k).detail["p"])
     except UnsupportedCaseError:
-        pass
+        return None
+
+
+def _construct_witness(n: int, k: int, budget: float):
+    """Pick the strongest applicable path: the general-lift construction
+    where there is one; else the search oracle's witness, which is None
+    unless the search is conclusive (only then is the witness a maximum
+    coloring)."""
+    coloring = _general_lift(n, k)
+    if coloring is not None:
+        return coloring, "general-lift"
     result = rb_oracle(CyclicInstance(n, k), SearchConfig(time_budget=budget))
     return (result.witness if result.conclusive else None), "oracle-search"
 
@@ -162,9 +178,12 @@ def cmd_table(args) -> int:
             formula_value = rb_formula(n, args.k).value
         except UnsupportedCaseError:
             formula_value = None
+        # a row with a closed form starts the search at its construction;
+        # nodes counts the nodes of that seeded search
         search = rb_oracle(
             CyclicInstance(n, args.k),
             SearchConfig(time_budget=args.budget_secs),
+            _general_lift(n, args.k),
         )
         elapsed_ms = round(search.detail["elapsed"] * 1000)
         nodes = search.detail["nodes_explored"]

@@ -20,7 +20,7 @@ from .modcore import (
     is_k_periodic_subset,
     is_prime,
     is_symmetric_subset,
-    solutions_by_sum,
+    _solutions_table,
 )
 
 Palette = frozenset[int]
@@ -79,8 +79,9 @@ def is_canonical(colors) -> bool:
     return True
 
 
-# Rows walked pair by pair before the scan starts counting colors: about 2n
-# pairs, where nearly every coloring that has a rainbow triple shows one.
+# Rows walked pair by pair before the scan starts counting colors: about 2n/g
+# pairs for g = gcd(k, n), where nearly every coloring that has a rainbow
+# triple shows one.
 _WALK_ROWS = 2
 # Below this n every row is walked.
 _MASK_MIN_N = 64
@@ -100,10 +101,12 @@ def find_rainbow_triple(c: Coloring, k: int) -> Optional[Triple]:
     increasing order, each in one of two ways, both visiting the x2 > x1 of
     another color in increasing order and reading x3 from `solutions_by_sum`:
 
-    - walk: every x2 > x1, skipping those of color c(x1). The first rows
-      (about 2n pairs), and every row when n < 64, are walked.
+    - walk: every x2 > x1 whose sum x1 + x2 has an x3, which are those with
+      g = gcd(k, n) dividing it, skipping those of color c(x1). The first
+      rows (about 2n/g pairs), and every row when n < 64, are walked. A row
+      of k = 0 mod n visits one x2, -x1.
     - bits: only the x2 of another color, read off a bit mask of the
-      positions after x1 not colored c(x1).
+      positions after x1 not colored c(x1), whether their sum has an x3 or not.
 
     For n >= 64 the scan then counts, per color, the positions after x1
     that carry it, so each later row knows how many x2 of another color it
@@ -121,18 +124,21 @@ def find_rainbow_triple(c: Coloring, k: int) -> Optional[Triple]:
     """
     n = c.n
     cols = c.colors
-    sols = solutions_by_sum(n, k)
+    sols = _solutions_table(n, k % n)  # solutions_by_sum's table, one call less
+    # k*x3 = s is solvable iff g = gcd(k, n) divides s; k*x3 = 0 has g
+    # solutions. A walk steps from the first x2 > x1 with g | x1 + x2.
+    g = len(sols[0])
     walked = _WALK_ROWS if n >= _MASK_MIN_N else n
     for x1 in range(walked):
         c1 = cols[x1]
-        for x2 in range(x1 + 1, n):
+        for x2 in range(x1 + 1 + (-2 * x1 - 1) % g, n, g):
             c2 = cols[x2]
             if c1 == c2:
                 continue
             for x3 in sols[(x1 + x2) % n]:
                 c3 = cols[x3]
                 if c3 != c1 and c3 != c2:
-                    return Triple(x1, x2, x3)
+                    return tuple.__new__(Triple, (x1, x2, x3))
     if walked == n:
         return None
     # The later rows, each skipped, walked or read off a mask. The walk is
@@ -148,14 +154,14 @@ def find_rainbow_triple(c: Coloring, k: int) -> Optional[Triple]:
         if same == span:
             continue  # no x2 of another color
         if 8 * same < 7 * span:
-            for x2 in range(x1 + 1, n):
+            for x2 in range(x1 + 1 + (-2 * x1 - 1) % g, n, g):
                 c2 = cols[x2]
                 if c1 == c2:
                     continue
                 for x3 in sols[(x1 + x2) % n]:
                     c3 = cols[x3]
                     if c3 != c1 and c3 != c2:
-                        return Triple(x1, x2, x3)
+                        return tuple.__new__(Triple, (x1, x2, x3))
             continue
         if c1 in masks:
             x0, mask = masks[c1]
@@ -172,7 +178,7 @@ def find_rainbow_triple(c: Coloring, k: int) -> Optional[Triple]:
             for x3 in sols[(x1 + x2) % n]:
                 c3 = cols[x3]
                 if c3 != c1 and c3 != c2:
-                    return Triple(x1, x2, x3)
+                    return tuple.__new__(Triple, (x1, x2, x3))
     return None
 
 

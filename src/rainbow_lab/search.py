@@ -11,6 +11,12 @@ the last position walks nothing. Triples are solved per position from an O(n)
 table, so memory is O(n) and the time budget covers all of the work. The
 search is exact when it runs to completion; running out of time budget yields
 a first-class inconclusive outcome, never a guess.
+
+rb_oracle may start from a verified lower bound: a coloring that the plain
+rainbow scan passes, whose r colors the search then only has to beat. Such a
+seeded search proves that no rainbow-free coloring has r + 1 colors, and its
+witness is the (canonicalized) seed when nothing beats it, so it need not be
+the lexicographically least maximum coloring.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .coloring import Coloring
+from .coloring import Coloring, canonicalize, find_rainbow_triple
 from .errors import InputError, SearchInconclusiveError
 from .modcore import CyclicInstance, solutions_by_sum
 from .results import Method, RbResult
@@ -230,7 +236,11 @@ def _iter_canonical(
         status.count_bound += count_bound
 
 
-def rb_oracle(inst: CyclicInstance, cfg: Optional[SearchConfig] = None) -> RbResult:
+def rb_oracle(
+    inst: CyclicInstance,
+    cfg: Optional[SearchConfig] = None,
+    lower_bound: Optional[Coloring] = None,
+) -> RbResult:
     """rb(Z_n, k) by exhaustive search: r_max + 1.
 
     r_max is the largest r admitting a rainbow-free exact r-coloring, and the
@@ -242,6 +252,14 @@ def rb_oracle(inst: CyclicInstance, cfg: Optional[SearchConfig] = None) -> RbRes
     a lower bound, and the witness (None if no coloring was completed) is not
     known to be maximum.
 
+    lower_bound, a rainbow-free coloring of Z_n with r colors, starts the
+    search at r: within the budget it is checked with find_rainbow_triple
+    (InputError if it has a rainbow triple or the wrong length), and the
+    search then looks only for colorings with more than r colors. If none
+    exists, r_max = r and the witness is the canonicalized seed, which need
+    not be lexicographically least; a coloring that beats the seed is found
+    as in the plain search. detail["lower_bound_r"] is r, or None unseeded.
+
     detail["prunes"] counts the cut nodes by reason. A node that both empties
     a domain and breaks the count bound is counted under the reason the
     kernel finds first, so the split depends on the walk order; only the sum
@@ -250,9 +268,25 @@ def rb_oracle(inst: CyclicInstance, cfg: Optional[SearchConfig] = None) -> RbRes
     cfg = cfg or SearchConfig()
     start = time.monotonic()
     status = _Status()
-    r_max, best = 0, None
+    r_max, best, seed_r = 0, None, None
+    if lower_bound is not None:
+        if lower_bound.n != inst.n:
+            raise InputError(
+                f"lower bound colors Z_{lower_bound.n}, not Z_{inst.n}"
+            )
+        triple = find_rainbow_triple(lower_bound, inst.k)
+        if triple is not None:
+            raise InputError(
+                f"lower bound has the rainbow triple {tuple(triple)} for k={inst.k}"
+            )
+        best = canonicalize(lower_bound.colors)
+        r_max = seed_r = max(best) + 1
     for r, cols in _iter_canonical(
-        inst, status, deadline=start + cfg.time_budget, improving_only=True
+        inst,
+        status,
+        min_r=r_max + 1,
+        deadline=start + cfg.time_budget,
+        improving_only=True,
     ):
         r_max, best = r, cols
     return RbResult(
@@ -260,6 +294,7 @@ def rb_oracle(inst: CyclicInstance, cfg: Optional[SearchConfig] = None) -> RbRes
         method=Method.ORACLE,
         detail={
             "r_max": r_max,
+            "lower_bound_r": seed_r,
             "nodes_explored": status.nodes,
             "elapsed": time.monotonic() - start,
             "exhausted": status.exhausted,

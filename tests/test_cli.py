@@ -52,11 +52,45 @@ class TestRb:
         monkeypatch.setattr(
             cli,
             "rb_formula",
-            lambda n, k: RbResult(99, Method.GENERAL_RECURSION),
+            lambda n, k: RbResult(99, Method.GENERAL_RECURSION, detail={"p": 1}),
         )
         code, _, err = run(capsys, "rb", "--n", "6", "--k", "1", "--method", "both")
         assert code == cli.EXIT_MISMATCH
         assert "MISMATCH" in err
+
+    def test_formula_too_low_still_exits_3(self, capsys):
+        # Z_9 k=5 is in the 3-adic family where the closed form is one too
+        # low; the search seeded with its 3-color construction still finds
+        # the fourth color
+        code, out, err = run(capsys, "rb", "--n", "9", "--k", "5", "--method", "both")
+        assert code == cli.EXIT_MISMATCH
+        assert out == ""
+        assert err == "MISMATCH: formula says 4, search says 5\n"
+
+    def test_search_method_runs_the_plain_oracle(self, capsys, monkeypatch):
+        # --method search takes no seed, so its node count stays the plain
+        # oracle's (TestPinnedCounts pins Z_21 k=3 at 1448 nodes)
+        seeds = []
+        oracle = cli.rb_oracle
+
+        def recording(inst, cfg, lower_bound=None):
+            seeds.append(lower_bound)
+            return oracle(inst, cfg, lower_bound)
+
+        monkeypatch.setattr(cli, "rb_oracle", recording)
+        code, out, _ = run(capsys, "rb", "--n", "21", "--k", "3", "--method", "search")
+        assert code == cli.EXIT_OK
+        assert out.startswith("rb(21,3) = 4 [oracle: 1448 nodes, ")
+        assert seeds == [None]
+
+    def test_both_seeds_the_search_with_the_construction(self, capsys, caplog):
+        caplog.set_level(logging.INFO, logger="rainbow_lab")
+        code, out, _ = run(capsys, "-v", "rb", "--n", "21", "--k", "3", "--method", "both")
+        assert code == cli.EXIT_OK
+        assert out == "rb(21,3) = 4, formula=search\n"
+        messages = [r.getMessage() for r in caplog.records]
+        bound = messages.index("lower bound: 3 colors from general-lift")
+        assert messages[bound + 1].startswith("prunes: empty domain ")
 
     def test_inconclusive_exits_4(self, capsys):
         code, out, _ = run(
@@ -288,9 +322,11 @@ class TestTable:
             assert by_n[n][2] == "" and by_n[n][3] != "", by_n[n]
 
     def test_inconclusive_rows_marked_and_exit_4(self, capsys):
+        # seeded with the construction, the Z_26 row takes about 6 ms, so
+        # the budget is well below that
         code, out, _ = run(
             capsys,
-            "table", "--n-max", "26", "--k", "1", "--budget-secs", "0.005",
+            "table", "--n-max", "26", "--k", "1", "--budget-secs", "0.001",
         )
         assert code == cli.EXIT_INCONCLUSIVE
         rows = list(csv.reader(io.StringIO(out)))

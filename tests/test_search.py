@@ -5,7 +5,14 @@ import tracemalloc
 import pytest
 
 from conftest import brute_rainbow_free, canonical_colorings, reference_search
-from rainbow_lab.coloring import find_rainbow_triple, is_canonical, is_rainbow_free
+from rainbow_lab.cli import _general_lift
+from rainbow_lab.coloring import (
+    Coloring,
+    canonicalize,
+    find_rainbow_triple,
+    is_canonical,
+    is_rainbow_free,
+)
 from rainbow_lab.errors import InputError, SearchInconclusiveError
 from rainbow_lab.formulas import rb_formula
 from rainbow_lab import search
@@ -218,6 +225,60 @@ class TestReferenceCrossCheck:
             if n <= 12:
                 found = [c.colors for c in iter_rainbow_free_colorings(inst, min_r=3)]
                 assert found == kept, (n, k)
+
+
+    @pytest.mark.parametrize("n", range(2, 19))
+    def test_seeded_kernel_matches_unbounded_reference(self, n):
+        # seeded with the construction wherever there is one; a seed that
+        # nothing beats is the witness, so only its color count is checked
+        for k in range(n):
+            seed = _general_lift(n, k)
+            if seed is None:
+                continue
+            r_max, _, _ = reference_search(n, k)
+            res = rb_oracle(CyclicInstance(n, k), lower_bound=seed)
+            assert res.conclusive, (n, k)
+            assert res.detail["lower_bound_r"] == seed.num_colors(), (n, k)
+            assert (res.detail["r_max"], res.value) == (r_max, r_max + 1), (n, k)
+            assert set(res.witness.colors) == set(range(r_max)), (n, k)
+            assert find_rainbow_triple(res.witness, k) is None, (n, k)
+            if seed.num_colors() == r_max:
+                assert res.witness.colors == canonicalize(seed.colors), (n, k)
+
+
+class TestSeededOracle:
+    def test_seed_with_a_rainbow_triple_is_rejected(self):
+        with pytest.raises(InputError, match="rainbow triple"):
+            rb_oracle(CyclicInstance(5, 1), lower_bound=Coloring(5, (0, 1, 2, 2, 2)))
+
+    def test_seed_of_the_wrong_length_is_rejected(self):
+        with pytest.raises(InputError, match="Z_6"):
+            rb_oracle(CyclicInstance(5, 1), lower_bound=Coloring(6, (0,) * 6))
+
+    @pytest.mark.parametrize(
+        "n, k, seed", ((12, 1, (0,) * 12), (12, 1, (0, 1) * 6), (17, 7, (0,) * 17))
+    )
+    def test_weak_seed_reaches_the_maximum(self, n, k, seed):
+        # a seed below r_max is beaten, and the search then finds the
+        # lex-least maximum coloring as the plain search does
+        r_max, witness, _ = reference_search(n, k)
+        res = rb_oracle(CyclicInstance(n, k), lower_bound=Coloring(n, seed))
+        assert res.detail["lower_bound_r"] == len(set(seed)) < r_max
+        assert (res.detail["r_max"], res.witness.colors) == (r_max, witness)
+
+    def test_unseeded_records_no_lower_bound(self):
+        assert rb_oracle(CyclicInstance(7, 1)).detail["lower_bound_r"] is None
+
+    def test_budget_exhaustion_keeps_the_seed(self):
+        seed = _general_lift(30, 29)
+        r = seed.num_colors()
+        res = rb_oracle(
+            CyclicInstance(30, 29), SearchConfig(time_budget=0.005), lower_bound=seed
+        )
+        assert not res.conclusive
+        assert res.value >= r + 1
+        assert res.detail["r_max"] >= r
+        assert find_rainbow_triple(res.witness, 29) is None
 
 
 class TestDomainsSettleHardCases:

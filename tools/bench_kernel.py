@@ -12,7 +12,10 @@ Instances, each under a 60 s budget:
   Z_21 k=3; on the slow tier Z_32 k=31, Z_34 k=33, Z_36 k=35, Z_72 k=5 and
   Z_81 k=5 (about 1-15 s each); and on the six rb instances the benchmark's
   oracle-sweep workload draws at seed 23;
-- iter_rainbow_free_colorings(min_r=3) on its four enumeration instances.
+- iter_rainbow_free_colorings(min_r=3) on its four enumeration instances;
+- rb_oracle seeded as `rb --method both` seeds it, with the general-lift
+  construction, on the slow tier and the oracle-sweep rb instances that have
+  one (`rb_oracle_seeded`; the wall time includes building the seed).
 Per instance it records r_max (for an enumeration, the largest color count
 it yields), whether the search was conclusive, the kernel nodes and prunes by
 reason per run and the median wall time of 5 runs. The CLI runs
@@ -24,7 +27,8 @@ once its runs add up to 60 s; the number of runs is stored.
 A node count is the same on every machine and for every walk order of the
 kernel, so when the output file already holds a `parent` entry and --label
 is not `parent`, every instance whose node count differs from the parent's
-is printed and the script exits 1 (after writing its result).
+is printed and the script exits 1 (after writing its result). Only the
+plain rows are compared: the parent may have no seeded rows.
 """
 from __future__ import annotations
 
@@ -41,6 +45,7 @@ SRC = os.path.join(ROOT, "src")
 sys.path.insert(0, SRC)
 
 from rainbow_lab import search  # noqa: E402
+from rainbow_lab.cli import _general_lift  # noqa: E402
 from rainbow_lab.errors import SearchInconclusiveError  # noqa: E402
 from rainbow_lab.modcore import CyclicInstance  # noqa: E402
 
@@ -73,6 +78,18 @@ class _Recorded(search._Status):
 def rb_run(n: int, k: int) -> dict:
     res = search.rb_oracle(CyclicInstance(n, k), search.SearchConfig(time_budget=BUDGET))
     return {"r_max": res.detail["r_max"], "conclusive": res.conclusive}
+
+
+def seeded_run(n: int, k: int) -> dict:
+    seed = _general_lift(n, k)
+    res = search.rb_oracle(
+        CyclicInstance(n, k), search.SearchConfig(time_budget=BUDGET), seed
+    )
+    return {
+        "r_max": res.detail["r_max"],
+        "lower_bound_r": res.detail["lower_bound_r"],
+        "conclusive": res.conclusive,
+    }
 
 
 def enum_run(n: int, k: int) -> dict:
@@ -131,6 +148,11 @@ def cli(argv: list[str]) -> dict:
 
 def measure() -> dict:
     rb = {f"Z_{n} k={k}": kernel(rb_run, n, k) for n, k in dict.fromkeys(HARD + SLOW + SWEEP_RB)}
+    seeded = {
+        f"Z_{n} k={k}": kernel(seeded_run, n, k)
+        for n, k in SLOW + SWEEP_RB
+        if _general_lift(n, k) is not None
+    }
     enum = {f"Z_{n} k={k}": kernel(enum_run, n, k) for n, k in SWEEP_ENUM}
     lines = 0
     for name in sorted(os.listdir(os.path.join(SRC, "rainbow_lab"))):
@@ -141,6 +163,7 @@ def measure() -> dict:
         **provenance(),
         "src_lines": lines,
         "rb_oracle": rb,
+        "rb_oracle_seeded": seeded,
         "enumerate_min_r_3": enum,
         "sweep_nodes": sum(rb[f"Z_{n} k={k}"]["nodes"] for n, k in SWEEP_RB)
         + sum(e["nodes"] for e in enum.values()),
