@@ -3,6 +3,11 @@
 Every builder verifies its output rainbow-free before returning and raises
 ConstructionError instead of handing back an unverified coloring. Witness
 color counts always equal the matching closed-form rainbow number minus one.
+They are maximum colorings with one known exception, the 3-adic family
+(9 | n, p does not divide n, p = 2 mod 3 and p != 2 mod 3^v with v = v_3(n)):
+there the closed form is one too low and the witness one color short of the
+maximum the exhaustive oracle finds, e.g. 3 colors against 4 on Z_9 with
+k = 5, and 4 against 5 on Z_18 with k = 5 and on Z_27 with k = 11.
 The builders read no closed form: the prime-modulus pattern comes from the
 +-orbit of p alone, so the formulas and the witnesses check each other.
 

@@ -347,7 +347,7 @@ class TestTable:
         _, out2, _ = run(capsys, "table", "--n-max", "8", "--k", "1")
         assert strip(out1) == strip(out2)
 
-    def test_missing_two_power_table_exits_2_without_traceback(self):
+    def test_invalid_modulus_in_fresh_interpreter_exits_2_without_traceback(self):
         # a package error raised in a fresh interpreter ends in exit 2
         proc = subprocess.run(
             [sys.executable, "-m", "rainbow_lab.cli", "rb", "--n", "0", "--k", "1"],
