@@ -6,22 +6,17 @@ of Z_q.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, repeat
-from operator import ne
+from itertools import compress, islice, repeat
+from operator import itemgetter, ne
 from typing import Optional
 
 from .errors import InputError
-from .modcore import (
-    Triple,
-    is_k_periodic_subset,
-    is_prime,
-    is_symmetric_subset,
-    _solutions_table,
-)
+from .modcore import Triple, _solutions_table, is_prime
 
 Palette = frozenset[int]
 
@@ -83,7 +78,7 @@ def is_canonical(colors) -> bool:
 # pairs for g = gcd(k, n), where nearly every coloring that has a rainbow
 # triple shows one.
 _WALK_ROWS = 2
-# Below this n every row is walked.
+# When a walked row visits fewer x2 than this, about n/g, every row is walked.
 _MASK_MIN_N = 64
 # A row is read off its mask when c(x1) fills at least 7/8 of the positions
 # after x1. Costed in visits to a same-colored pair (about 40 ns on CPython
@@ -103,12 +98,12 @@ def find_rainbow_triple(c: Coloring, k: int) -> Optional[Triple]:
 
     - walk: every x2 > x1 whose sum x1 + x2 has an x3, which are those with
       g = gcd(k, n) dividing it, skipping those of color c(x1). The first
-      rows (about 2n/g pairs), and every row when n < 64, are walked. A row
-      of k = 0 mod n visits one x2, -x1.
+      rows (about 2n/g pairs), and every row when n/g < 64, are walked. A
+      row of k = 0 mod n visits one x2, -x1.
     - bits: only the x2 of another color, read off a bit mask of the
       positions after x1 not colored c(x1), whether their sum has an x3 or not.
 
-    For n >= 64 the scan then counts, per color, the positions after x1
+    For n/g >= 64 the scan then counts, per color, the positions after x1
     that carry it, so each later row knows how many x2 of another color it
     has. A row without any is skipped; a row is read off its mask when one
     read per such x2 is estimated cheaper than its n-1-x1 pair visits,
@@ -128,7 +123,8 @@ def find_rainbow_triple(c: Coloring, k: int) -> Optional[Triple]:
     # k*x3 = s is solvable iff g = gcd(k, n) divides s; k*x3 = 0 has g
     # solutions. A walk steps from the first x2 > x1 with g | x1 + x2.
     g = len(sols[0])
-    walked = _WALK_ROWS if n >= _MASK_MIN_N else n
+    # n // g >= _MASK_MIN_N implies n >= _MASK_MIN_N; a short scan skips the division
+    walked = _WALK_ROWS if n >= _MASK_MIN_N and n // g >= _MASK_MIN_N else n
     for x1 in range(walked):
         c1 = cols[x1]
         for x2 in range(x1 + 1 + (-2 * x1 - 1) % g, n, g):
@@ -288,110 +284,95 @@ class LMClassification:
 _NOT_RAINBOW_FREE_FORM = LMClassification(LMCase.NOT_RAINBOW_FREE_FORM)
 
 
-def _progression_start(S: set[int], d: int, q: int) -> Optional[int]:
-    """The first element of S as a progression with difference d in Z_q.
-
-    That is the x in S with x - d not in S, when exactly one exists; for
-    0 < |S| < q and d != 0 this holds iff S is such a progression.
-    """
-    starts = [x for x in S if (x - d) % q not in S]
-    return starts[0] if len(starts) == 1 else None
+@functools.lru_cache(maxsize=256)
+def _affine(q: int, m: int, t: int) -> itemgetter:
+    """Re-indexes a color tuple of Z_q: u -> c(m*u + t)."""
+    return itemgetter(*[(m * u + t) % q for u in range(q)])
 
 
 def classify_3coloring_LM(c: Coloring, k: int) -> LMClassification:
     """Classify an exact 3-coloring of Z_q (q prime, gcd(k, q) = 1).
 
     Tries the structural cases in a fixed order and reports the first match
-    together with a dilation factor a realizing it. Dilations fix 0 and
-    preserve symmetry and <k>-periodicity, so case 1 is tested at a = 1,
-    cases 2(i)/(ii) only at the unique dilation sending a non-zero singleton
-    class to {1}, and case 3 only at the few a that can turn the smallest
-    class into an interval, least first. A coloring matching no case admits
-    a rainbow triple.
+    together with a dilation factor a realizing it. Each condition is a
+    comparison of the color tuple with a copy re-indexed by an affine map
+    of Z_q. Dilations fix 0 and preserve symmetry and <k>-periodicity, so
+    case 1 is tested at a = 1 and cases 2(i)/(ii) only at the unique
+    dilation sending a non-zero singleton class {x} to {1}. Case 3 first
+    counts runs: along a step d from the smallest class the coloring must
+    change color exactly three times, which rejects almost every coloring
+    at C speed; only the d that pass are tried, as a = +-d^-1, and the
+    least a is reported. A coloring matching no case admits a rainbow
+    triple.
     """
     q = c.n
     if not is_prime(q) or q < 3:
         raise InputError(f"classification requires a prime modulus >= 3, got {q}")
-    if c.num_colors() != 3:
+    cols = c.colors
+    palette = set(cols)
+    if len(palette) != 3:
         raise InputError("classification requires an exact 3-coloring")
     k %= q
     if k == 0:
         raise InputError(f"coefficient k={k} is not invertible mod {q}")
     k_is_2 = k == 2 % q
     k_is_minus1 = k == q - 1
-    # cases 2 and 3 need k in {2, -1}; case 1 needs the class of 0 to be {0}
-    if not (k_is_2 or k_is_minus1) and c.colors.count(c.colors[0]) > 1:
-        return _NOT_RAINBOW_FREE_FORM
-    classes = list(c.color_classes().values())  # classes[0] holds 0
 
-    # case 1: {0} singleton, other classes symmetric and <k>-periodic.
-    # Both properties are dilation-invariant, so a = 1 suffices.
-    if len(classes[0]) == 1 and all(
-        is_symmetric_subset(o, q) and is_k_periodic_subset(o, k, q) for o in classes[1:]
-    ):
+    # case 1: {0} singleton, other classes symmetric and <k>-periodic, that
+    # is c(-u) = c(u) = c(ku) for u != 0. Both properties are
+    # dilation-invariant, so a = 1 suffices.
+    if cols.count(cols[0]) == 1 and cols[1:] == cols[:0:-1] and cols == _affine(q, k, 0)(cols):
         return LMClassification(LMCase.CASE1, 1)
+    if not (k_is_2 or k_is_minus1):
+        return _NOT_RAINBOW_FREE_FORM  # cases 2 and 3 need k in {2, -1}
 
-    # cases 2(i)/(ii): a singleton class {x}, x != 0, dilated to {1};
-    # only a = x^-1 can achieve that.
-    if k_is_2 or k_is_minus1:
-        minus2 = (-2) % q
-        for i, s in enumerate(classes):
-            if len(s) != 1 or 0 in s:
+    # cases 2(i)/(ii): a singleton class {x}, x != 0, dilated to {1} by
+    # a = x^-1, the only dilation that can, and shifted: the classes are
+    # tested at z = a*u - 1 (2(i)) or w = a*u + 2^-1 (2(ii)). Read back at
+    # u = x(z + 1) or u = x(w - 2^-1), each test compares c with c
+    # re-indexed by an affine map that fixes or swaps x.
+    sizes = list(map(cols.count, palette))
+    if 1 in sizes:
+        for x in sorted(map(cols.index, palette)):  # classes in order of first occurrence
+            if x == 0 or cols.count(cols[x]) > 1:
                 continue
-            (x,) = s
-            a = pow(x, -1, q)
-            others = [
-                frozenset((a * y) % q for y in classes[j])
-                for j in range(3)
-                if j != i
-            ]
-            # case 2(i): k = 2, shifted classes symmetric and <2>-periodic
-            if k_is_2:
-                shifted = [frozenset((y - 1) % q for y in o) for o in others]
-                if all(
-                    is_symmetric_subset(o, q) and is_k_periodic_subset(o, 2, q)
-                    for o in shifted
-                ):
-                    return LMClassification(LMCase.CASE2I, a)
-            # case 2(ii): k = -1, (X \ {-2}) + 2^-1 symmetric. The excluded
-            # element is -2 mod q: rainbow-freeness forces c(x) = c(-1-x)
-            # away from the pair containing 1, whose partner is -2, and
-            # X + 2^-1 = -(X + 2^-1) is exactly that reflection.
-            if k_is_minus1:
-                inv2 = pow(2, -1, q)
-                shifted = [
-                    frozenset((y + inv2) % q for y in o if y != minus2)
-                    for o in others
-                ]
-                if all(is_symmetric_subset(o, q) for o in shifted):
-                    return LMClassification(LMCase.CASE2II, a)
+            # case 2(i): k = 2, classes symmetric and <2>-periodic in z, that
+            # is c(2x - u) = c(u) = c(2u - x); both maps fix u = x (z = 0)
+            if k_is_2 and cols == _affine(q, -1, 2 * x)(cols) == _affine(q, 2, -x)(cols):
+                return LMClassification(LMCase.CASE2I, pow(x, -1, q))
+            # case 2(ii): k = -1, (X \ {-2}) + 2^-1 symmetric in w for the
+            # other classes X, that is c(-u - x) = c(u) except at u = x (the
+            # singleton, a*u = 1) and u = -2x (the excluded a*u = -2): the
+            # reflection swaps these two, whose colors differ. The excluded
+            # element is -2 mod q: rainbow-freeness forces c(y) = c(-1-y)
+            # away from the pair containing 1, whose partner is -2. For
+            # q = 3 the reflection fixes x and swaps the two other
+            # positions, whose colors differ too.
+            if k_is_minus1 and q > 3 and sum(map(ne, cols, _affine(q, -1, -x)(cols))) == 2:
+                return LMClassification(LMCase.CASE2II, pow(x, -1, q))
+        return _NOT_RAINBOW_FREE_FORM  # case 3 needs every class of size >= 2
+    if not k_is_minus1:
+        return _NOT_RAINBOW_FREE_FORM
 
     # case 3: k = -1, all classes are difference-1 progressions chained as
     # [a1, a2-1], [a2, a3-1], [a3, a1-1] with a1 + a2 + a3 in {1, 2}.
     # a*S is an interval iff S is a progression with difference d = a^-1,
-    # and S is one with d iff it is one with -d. One of d, -d leads from
-    # x0 = min(S) to another element y of S, so the steps d = y - x0 that
-    # make the smallest class a progression, and their negatives, give every
-    # candidate a; they are tried in increasing order, as a scan of 1..q-1
-    # would.
-    if k_is_minus1 and min(len(s) for s in classes) >= 2:
-        smallest = min(classes, key=len)
-        x0 = min(smallest)
-        cands = {}
-        for y in smallest:
-            d = (y - x0) % q
-            if d and _progression_start(smallest, d, q) is not None:
-                a = pow(d, -1, q)
-                cands[a] = d
-                cands[q - a] = q - d
-        for a in sorted(cands):
-            total = 0
-            for s in classes:
-                x = _progression_start(s, cands[a], q)
-                if x is None:
-                    break
-                total += x  # a*S starts at a*x
-            else:
-                if a * total % q in (1, 2):
-                    return LMClassification(LMCase.CASE3, a)
-    return _NOT_RAINBOW_FREE_FORM
+    # which holds for every class iff the walk 0, d, 2d, ... changes color
+    # exactly 3 times. One of d, -d leads from x0 = min(S) to another y in
+    # the smallest class S, so the steps d = y - x0 give every candidate.
+    # With the classes' starts x (c(x - d) != c(x)) summing to s, a*S
+    # starts at a*x and a*s must be 1 or 2; at -a the classes start at
+    # their ends, which sum to s + d(q - 3), and -a(s + d(q - 3)) = 3 - a*s,
+    # so a and -a pass together and the lesser is reported.
+    least, smallest = min(zip(sizes, palette))
+    y = x0 = cols.index(smallest)
+    best = q
+    for _ in range(least - 1):
+        y = cols.index(smallest, y + 1)
+        d = y - x0
+        back = cols[-d:] + cols[:-d]  # c(x - d) at x
+        if sum(map(ne, cols, back)) == 3:
+            a = pow(d, -1, q)
+            if a * sum(compress(range(q), map(ne, cols, back))) % q in (1, 2):
+                best = min(best, a, q - a)
+    return _NOT_RAINBOW_FREE_FORM if best == q else LMClassification(LMCase.CASE3, best)

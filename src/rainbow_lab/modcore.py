@@ -39,6 +39,7 @@ class Triple(NamedTuple):
     x3: int
 
 
+@functools.lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -32,10 +32,11 @@ from .results import Method, RbResult
 
 _BUDGET_CHECK_WORK = 4096  # check the clock every 4096 positions walked
 # A node walks its later positions when 2 * (their count) < pos. Summed
-# medians of tools/bench_kernel.py's four enumeration instances, two runs per
-# weight (2 cores, Python 3.11.7): 0.052-0.058 s with a forward walk only at
-# the last position, 0.032-0.039 s at weight 1.5, 0.037-0.039 s at 2 and
-# 0.041 s at 3; its rb instances did not separate the weights.
+# medians over the four enumeration instances that tools/bench_layers.py
+# times as its enumerate_min_r_3 rows, two runs per weight (2 cores, Python
+# 3.11.7): 0.052-0.058 s with a forward walk only at the last position,
+# 0.032-0.039 s at weight 1.5, 0.037-0.039 s at 2 and 0.041 s at 3; the rb
+# instances did not separate the weights.
 _FORWARD_WEIGHT = 2
 
 

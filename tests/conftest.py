@@ -39,16 +39,18 @@ def canonical_colorings(n, num_colors=None):
     """Every canonical (restricted-growth) coloring of n positions.
 
     Independent of the package's search; plain recursive set-partition
-    enumeration, optionally filtered to an exact color count.
+    enumeration, optionally restricted to an exact color count: color ids
+    stay below it, and the leaves are filtered.
     """
     out = []
+    cap = n if num_colors is None else num_colors
 
     def rec(pos, used, cur):
         if pos == n:
             if num_colors is None or used == num_colors:
                 out.append(tuple(cur))
             return
-        for col in range(min(used + 1, n)):
+        for col in range(min(used + 1, cap)):
             cur.append(col)
             rec(pos + 1, max(used, col + 1), cur)
             cur.pop()

@@ -282,6 +282,16 @@ class TestCheckingMatchesReference:
             for k in (1, 2, -1, rng.randrange(q)):
                 self.assert_same_classification(c, k)
 
+    def test_every_exact_3_coloring_of_z11(self):
+        # the benchmark's modulus: singleton classes (k = 2), progressions
+        # (k = -1) and the general path
+        from conftest import canonical_colorings
+
+        for cols in canonical_colorings(11, num_colors=3):
+            c = Coloring(11, cols)
+            for k in (1, 2, 3, 10):
+                self.assert_same_classification(c, k)
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_scan_returns_the_reference_triple(self, n):
         # every coloring with at most 3 colors, up to relabeling, which
@@ -353,11 +363,13 @@ class TestScanMatchesPairWalk:
 
 class TestScanMemory:
     """The scan holds O(n) memory: masks for only the colors that fill 7/8
-    of a row, and one count per color. Both scans allocate under 64 KiB:
+    of a row, and one count per color. Each scan allocates under 64 KiB:
     a full scan of the 3-color k = 1 witness of Z_1301, whose rows are
-    read off a mask, and a scan of a 250-color coloring of Z_4001 that
-    finds its rainbow triple in row 2, after the counts are taken; a
-    4001-bit mask for each of its colors would take over 130 KiB."""
+    read off a mask, and scans of two 250-color colorings of Z_4001 that
+    find their rainbow triple in row 2; a 4001-bit mask for each of their
+    colors would take over 120 KiB. With k = 1 (g = gcd(k, n) = 1) the scan
+    takes its counts before row 2; with k = 0 (g = n) a walked row visits
+    one x2, so every row is walked and no counts are taken."""
 
     @staticmethod
     def peak(c, k):
@@ -384,4 +396,17 @@ class TestScanMemory:
         cols[n - 2] = 249
         found, peak = self.peak(Coloring(n, tuple(cols)), 0)
         assert found == (2, n - 2, 0)
+        assert peak < 64 * 1024, peak
+
+    def test_scan_of_a_many_colored_coloring_with_counts(self):
+        # blocks of 15 positions per color 1..249, each followed by a 0:
+        # c(x + 1) is c(x) or c(1) = 0, so rows 0 and 1 (x3 = x2 and
+        # x3 = x2 + 1) close no rainbow triple; row 2 closes (2, 17, 19)
+        n = 4001
+        cols = [0, 0]
+        for color in range(1, 250):
+            cols += [color] * 15 + [0]
+        cols += [0] * (n - len(cols))
+        found, peak = self.peak(Coloring(n, tuple(cols)), 1)
+        assert found == (2, 17, 19)
         assert peak < 64 * 1024, peak

@@ -9,11 +9,11 @@ figure is timed in rounds: each round times both trees, and which tree goes
 first alternates from one part of a round to the next and from one round
 to the next, so load that lasts a while shifts both trees alike. Per-call
 figures are cut into parts of CHUNK calls (a witness part repeats its call
-for about PART_S) and take PER_CALL_ROUNDS rounds; every other figure stops
-after ROUNDS rounds or once its rounds add up to LIMIT_S. For each tree and
-each figure BENCH_layers.json (in this checkout) holds the median and the
-quartiles over the rounds, and `change_lower` counts the rounds in which
-the change was lower. Stdlib only; the test suite imports no tool.
+for about PART_S). Every figure runs PER_CALL_ROUNDS rounds, or fewer once
+its rounds add up to LIMIT_S. For each tree and each figure
+BENCH_layers.json (in this checkout) holds the median and the quartiles
+over the rounds, and `change_lower` counts the rounds in which the change
+was lower. Stdlib only; the test suite imports no tool.
 
 Figures, all for both trees:
 - checking layer, on the inputs of the benchmark's verify-classify
@@ -49,7 +49,6 @@ import glob
 import hashlib
 import importlib
 import json
-import math
 import os
 import platform
 import random
@@ -61,7 +60,6 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "BENCH_layers.json")
-ROUNDS = 5
 LIMIT_S = 60.0
 PER_CALL_ROUNDS = 21
 CHUNK = 2000
@@ -151,16 +149,17 @@ class Tree:
         return {"git_sha": sha, "src_sha256": digest.hexdigest(), "src_lines": lines}
 
 
-def alternate(trees, parts, rounds, limit_s=LIMIT_S):
+def alternate(trees, parts):
     """Time part(tree) for both trees, part after part and round after
-    round, swapping which tree goes first each time. Stops after `rounds`
-    rounds or once they add up to limit_s. Returns per tree the seconds of
-    each part in each round, and the value each part returned last."""
+    round, swapping which tree goes first each time. Stops after
+    PER_CALL_ROUNDS rounds or once they add up to LIMIT_S. Returns per tree
+    the seconds of each part in each round, and the value each part
+    returned last."""
     times = {t.name: [] for t in trees}
     values = {t.name: [None] * len(parts) for t in trees}
     spent = 0.0
-    for r in range(rounds):
-        if spent >= limit_s:
+    for r in range(PER_CALL_ROUNDS):
+        if spent >= LIMIT_S:
             break
         for t in trees:
             times[t.name].append([])
@@ -244,7 +243,7 @@ def checking(trees) -> dict:
             scanned[t.name] = c
         full[name] = (len(parts), scanned["change"].num_colors())
         parts.append(lambda t, cs=scanned, k=k: t.rl.find_rainbow_triple(cs[t.name], k))
-    times, values = alternate(trees, parts, PER_CALL_ROUNDS, math.inf)
+    times, values = alternate(trees, parts)
 
     classify = {kind: figure(times, 1e6 / len(kinds[kind]), where[kind]) for kind in kinds}
     classify["all"] = figure(times, 1e6 / len(every), [i for kind in kinds for i in where[kind]])
@@ -304,7 +303,7 @@ def fresh(argv: list[str]):
 
 def entry(trees, part, scale, key) -> dict:
     """A single-part measurement: each tree's last value, and its figure under key."""
-    times, values = alternate(trees, [part], ROUNDS)
+    times, values = alternate(trees, [part])
     return {**{t.name: values[t.name][0] for t in trees}, key: figure(times, scale)}
 
 
@@ -320,7 +319,7 @@ def witness(trees) -> dict:
         parts.append(lambda t, n=n, k=k, rep=reps[-1]: [
             t.cli._construct_witness(n, k, BUDGET) for _ in range(rep)
         ])
-    times, _ = alternate(trees, parts, PER_CALL_ROUNDS, math.inf)
+    times, _ = alternate(trees, parts)
     for rounds in times.values():
         for r in rounds:
             r[:] = [dt / rep for dt, rep in zip(r, reps)]
@@ -342,7 +341,7 @@ def witness(trees) -> dict:
             parts.append(run_main(["witness", "--n", str(n), "--k", str(k), "--out", cert]))
             parts.append(run_main(["verify", cert]))
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-            times, _ = alternate(trees, parts, PER_CALL_ROUNDS, math.inf)
+            times, _ = alternate(trees, parts)
         out["cli_main_median_us_n_2_to_45"] = {
             cmd: figure(times, 1e6, range(j, len(parts), 2), statistics.median)
             for j, cmd in enumerate(("witness", "verify"))
