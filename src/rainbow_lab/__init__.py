@@ -37,9 +37,7 @@ from .modcore import (
     CyclicInstance,
     Triple,
     divisibility_count,
-    is_k_periodic_subset,
     is_prime,
-    is_symmetric_subset,
     iter_triples,
     multiplicative_order,
     prime_factorize,

@@ -41,16 +41,6 @@ class Coloring:
     def num_colors(self) -> int:
         return len(set(self.colors))
 
-    def color_classes(self) -> dict[int, set[int]]:
-        """Color -> positions, in order of first occurrence."""
-        classes: dict[int, set[int]] = {}
-        for x, c in enumerate(self.colors):
-            if c in classes:
-                classes[c].add(x)
-            else:
-                classes[c] = {x}
-        return classes
-
 
 def canonicalize(colors) -> tuple[int, ...]:
     """Relabel into restricted-growth form: scanning left to right, the first

@@ -1,13 +1,12 @@
 """Exact modular arithmetic for the equation x1 + x2 = k*x3 in Z_n.
 
-Triple enumeration, divisibility structure of triples, multiplicative orders,
-factorization, and the symmetric / multiplicatively-periodic subset predicates.
-All functions are pure and operate on small immutable values.
+Triple enumeration, divisibility structure of triples, multiplicative orders
+and factorization. All functions are pure and operate on small immutable
+values.
 """
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -130,25 +129,3 @@ def divisibility_count(t: Triple, q: int) -> int:
     if not is_prime(q):
         raise InputError(f"{q} is not prime")
     return sum(1 for x in t if x % q == 0)
-
-
-def is_symmetric_subset(S: set[int], q: int) -> bool:
-    """True iff S = -S inside Z_q."""
-    return all((q - x) % q in S for x in S)
-
-
-def is_k_periodic_subset(S: set[int], k: int, q: int) -> bool:
-    """True iff S is a union of cosets of the multiplicative subgroup <k> in Z_q^*.
-
-    Equivalently k*S = S. Periodicity is defined on Z_q^*, so 0 in S is an error.
-    """
-    if not is_prime(q):
-        raise InputError(f"{q} is not prime")
-    if math.gcd(k, q) != 1:
-        raise InputError(f"k={k} is not invertible mod {q}")
-    if 0 in S:
-        raise InputError("periodicity is defined on nonzero residues; 0 found in S")
-    for x in S:
-        if not 0 < x < q:
-            raise InputError(f"{x} is not a residue in [1, {q})")
-    return {(k * x) % q for x in S} == S

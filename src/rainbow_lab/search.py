@@ -5,12 +5,16 @@ ids in restricted-growth (canonical) order. Forward checking keeps, for
 every later position, the domain of colors it may take without completing a
 rainbow triple; a branch is pruned when a domain empties, or when too few
 positions can still take a new color to reach the number of colors of
-interest. Each node narrows the later domains from the shorter side: it walks
-its earlier partners, or the later positions when fewer of those remain, and
-the last position walks nothing. Triples are solved per position from an O(n)
-table, so memory is O(n) and the time budget covers all of the work. The
-search is exact when it runs to completion; running out of time budget yields
-a first-class inconclusive outcome, never a guess.
+interest. Each position's partner row, the earlier partners that share a
+triple with a later position and those later positions, is built once and
+kept for the whole search, and a node narrows the later domains by reading
+it. Only where rows would be long, at large n or gcd(k, n), does a node
+instead walk its earlier partners, or the later positions when fewer of
+those remain. Triples are solved from an O(n) table and the kept rows hold
+O(_ROW_MAX^2) entries whatever n is, so memory is O(n), and the time budget
+covers all of the work, row building included. The search is exact when it
+runs to completion; running out of time budget yields a first-class
+inconclusive outcome, never a guess.
 
 rb_oracle may start from a verified lower bound: a coloring that the plain
 rainbow scan passes, whose r colors the search then only has to beat. Such a
@@ -30,13 +34,16 @@ from .errors import InputError, SearchInconclusiveError
 from .modcore import CyclicInstance, solutions_by_sum
 from .results import Method, RbResult
 
-_BUDGET_CHECK_WORK = 4096  # check the clock every 4096 positions walked
-# A node walks its later positions when 2 * (their count) < pos. Summed
-# medians over the four enumeration instances that tools/bench_layers.py
-# times as its enumerate_min_r_3 rows, two runs per weight (2 cores, Python
-# 3.11.7): 0.052-0.058 s with a forward walk only at the last position,
-# 0.032-0.039 s at weight 1.5, 0.037-0.039 s at 2 and 0.041 s at 3; the rb
-# instances did not separate the weights.
+_BUDGET_CHECK_WORK = 4096  # check the clock every 4096 row entries or positions walked
+# A position keeps its partner row when (gcd(k, n) + 2) * min(pos, later
+# positions), a bound on the row's length, is at most _ROW_MAX.
+_ROW_MAX = 64
+# A position without a kept row walks its later positions when
+# 2 * (their count) < pos. On such positions the weight hardly matters:
+# rb_oracle on Z_72 k=5 plus Z_60 k=1, five alternating rounds
+# (2 cores, Python 3.11.7), read medians of 12.5, 11.1, 11.7, 12.0 and
+# 12.0 s at weights 1, 1.5, 2, 3 and 1000 (backward only), inside the
+# rounds' spread of 10-16 s.
 _FORWARD_WEIGHT = 2
 
 
@@ -65,6 +72,25 @@ class _Status:
 _ALL = -1  # a domain no triple has narrowed: every color, a new one too
 
 
+def _partner_row(n: int, k: int, sols, pos: int) -> tuple:
+    """The partners a < pos that form a triple with pos and some y > pos,
+    each with its third coordinates y, deduplicated: ((a, ys), ...) by
+    increasing a. Solved by the walk a node at pos would take."""
+    kp = k * pos
+    thirds: dict[int, dict[int, None]] = {}
+    if _FORWARD_WEIGHT * (n - 1 - pos) < pos:
+        for y in range(pos + 1, n):
+            for a in sols[(pos + y) % n] + ((k * y - pos) % n, (kp - y) % n):
+                if a < pos:
+                    thirds.setdefault(a, {})[y] = None
+    else:
+        for a in range(pos):
+            for y in sols[(pos + a) % n] + ((kp - a) % n, (k * a - pos) % n):
+                if y > pos:
+                    thirds.setdefault(a, {})[y] = None
+    return tuple((a, tuple(ys)) for a, ys in sorted(thirds.items()))
+
+
 def _iter_canonical(
     inst: CyclicInstance,
     status: _Status,
@@ -88,25 +114,53 @@ def _iter_canonical(
     coloring is rainbow-free without a separate test. A later position whose
     domain is not _ALL cannot take a new color, so a subtree whose used
     colors plus _ALL later positions cannot reach the needed r is pruned.
-    Triples are solved per position from the O(n) table solutions_by_sum;
-    nothing O(n^2) is stored.
+    Triples are solved per position from the O(n) table solutions_by_sum.
 
-    Two walks narrow the domains at a node; they see the same triples and
-    give the same domains. The backward walk visits the partners a < pos
-    and solves each pair for its third coordinates y > pos. The forward walk
+    The partner row of pos lists each a < pos that forms a triple with pos
+    and some y > pos, with those y, deduplicated. Each a has at most
+    gcd(k, n) + 2 such y and each y at most that many a, so the row has at
+    most (gcd + 2) * min(pos, later positions) entries; the row is built
+    before the search and kept when that bound is at most _ROW_MAX. A node
+    at such a position skips the partners of its own color and narrows the
+    y of the others. Every row is kept when (gcd + 2) * ((n - 1) // 2) is
+    at most _ROW_MAX, so for every n <= 44 at gcd 1; at larger n only about
+    2 * _ROW_MAX / (gcd + 2) positions near the two ends keep theirs, so
+    the kept rows hold O(_ROW_MAX^2) entries whatever n is. Building them
+    counts toward the work the budget is checked by.
+
+    A node at any other position walks, one of two walks that see the same
+    triples as the row. The backward walk visits the partners a < pos and
+    solves each pair for its third coordinates y > pos. The forward walk
     visits the later positions y and folds into dom[y] the pairs of its
     partners a < pos: a = k*y - pos, a = k*pos - y and k*a = pos + y, the
     same three relations solved for a. A node walks forward when
-    _FORWARD_WEIGHT * (later positions) < pos, so the last position, which
-    has no later domain to narrow, walks nothing. Node order, outputs and
-    node counts do not depend on the walk; the prune reason a node is
-    counted under can, when a node would be cut for both.
+    _FORWARD_WEIGHT * (later positions) < pos. Node order, outputs and node
+    counts do not depend on the path; the prune reason a node is counted
+    under can, when a node would be cut for both.
     """
     n, k = inst.n, inst.k
     if max_r is not None and max_r < 1:
         return
     sols = solutions_by_sum(n, k)
+    last = n - 1
+    # rows[pos]: the kept partner row of pos, or None where pos walks;
+    # cost[pos]: the work a node at pos adds, entries of its row or
+    # positions of its walk, plus one
+    rows: list[Optional[tuple]] = [None] * n
+    cost = [0] * n
+    work = 0  # the unit of cost the budget is checked by
+    span = _ROW_MAX // (math.gcd(k, n) + 2)
+    for pos in range(n):
+        ahead = last - pos
+        walk = (ahead if _FORWARD_WEIGHT * ahead < pos else pos) + 1
+        if min(pos, ahead) <= span:
+            rows[pos] = row = _partner_row(n, k, sols, pos)
+            work += walk
+            cost[pos] = len(row) + 1
+        else:
+            cost[pos] = walk
     colors = [-1] * n
+    bits = [0] * n  # bits[a] = 1 << colors[a], read by the kept rows
     used_before = [0] * (n + 1)
     cand = [0] * n  # bitmask of the colors pos has still to try
     cand[0] = 1
@@ -120,10 +174,8 @@ def _iter_canonical(
     free_before[0] = n - 1
     need = min_r  # completions must reach this many colors to be reported
     nodes = empty_domain = count_bound = 0
-    work = 0  # positions walked, the unit of cost the budget is checked by
     next_check = _BUDGET_CHECK_WORK
     pos = 0
-    last = n - 1
     try:
         while pos >= 0:
             m = mark[pos]
@@ -141,15 +193,14 @@ def _iter_canonical(
             cand[pos] = rem ^ bit
             col = bit.bit_length() - 1
             nodes += 1
-            ahead = last - pos
-            forward = _FORWARD_WEIGHT * ahead < pos
-            work += (ahead if forward else pos) + 1
+            work += cost[pos]
             if work >= next_check:
                 next_check = work + _BUDGET_CHECK_WORK
                 if deadline is not None and time.monotonic() > deadline:
                     status.exhausted = False
                     break
             colors[pos] = col
+            bits[pos] = bit
             u = used_before[pos]
             nu = u + 1 if col == u else u
             free = free_before[pos]
@@ -157,10 +208,38 @@ def _iter_canonical(
             if free < slack:
                 count_bound += 1
                 continue
-            if nu > 1 and ahead:
-                kp = k * pos
+            if nu > 1 and pos != last:
                 pruned = False
-                if forward:
+                row = rows[pos]
+                if row is not None:
+                    # the kept row: each differently colored partner a keeps
+                    # only the colors of pos and a at its third coordinates
+                    for a, ys in row:
+                        ba = bits[a]
+                        if ba == bit:
+                            continue
+                        pair = bit | ba
+                        for y in ys:
+                            d = dom[y]
+                            nd = d & pair
+                            if nd != d:
+                                if not nd:
+                                    empty_domain += 1
+                                    pruned = True
+                                    break
+                                trail.append(y)
+                                trail.append(d)
+                                dom[y] = nd
+                                if d == _ALL:
+                                    free -= 1
+                                    if free < slack:
+                                        count_bound += 1
+                                        pruned = True
+                                        break
+                        if pruned:
+                            break
+                elif _FORWARD_WEIGHT * (last - pos) < pos:
+                    kp = k * pos
                     # one pass over the later positions y: each folds in the
                     # pairs of its differently colored partners a < pos
                     for y in range(pos + 1, n):
@@ -186,6 +265,7 @@ def _iter_canonical(
                                     pruned = True
                                     break
                 else:
+                    kp = k * pos
                     # one pass over the differently colored partners a: each
                     # third coordinate y > pos keeps only the colors of pos and a
                     for a in range(pos):

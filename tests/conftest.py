@@ -10,19 +10,14 @@ form that tries case 3 at every dilation.
 """
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from rainbow_lab import CyclicInstance, SearchConfig
 from rainbow_lab.coloring import LMCase, LMClassification
 from rainbow_lab.errors import InputError
-from rainbow_lab.modcore import (
-    Triple,
-    is_k_periodic_subset,
-    is_prime,
-    is_symmetric_subset,
-    prime_factorize,
-    solutions_by_sum,
-)
+from rainbow_lab.modcore import Triple, is_prime, prime_factorize, solutions_by_sum
 from rainbow_lab.search import iter_rainbow_free_colorings
 
 # (n, p) pairs for the prime-coefficient palette/projection suites: n = q*t
@@ -33,6 +28,39 @@ KP_PAIRS = sorted(
     for n in range(4, 22)
     if any(q != p for q, _ in prime_factorize(n))
 )
+
+
+def color_classes(c):
+    """Color -> positions of the coloring c, in order of first occurrence."""
+    classes: dict[int, set[int]] = {}
+    for x, col in enumerate(c.colors):
+        if col in classes:
+            classes[col].add(x)
+        else:
+            classes[col] = {x}
+    return classes
+
+
+def is_symmetric_subset(S, q):
+    """True iff S = -S inside Z_q."""
+    return all((q - x) % q in S for x in S)
+
+
+def is_k_periodic_subset(S, k, q):
+    """True iff S is a union of cosets of the multiplicative subgroup <k> in Z_q^*.
+
+    Equivalently k*S = S. Periodicity is defined on Z_q^*, so 0 in S is an error.
+    """
+    if not is_prime(q):
+        raise InputError(f"{q} is not prime")
+    if math.gcd(k, q) != 1:
+        raise InputError(f"k={k} is not invertible mod {q}")
+    if 0 in S:
+        raise InputError("periodicity is defined on nonzero residues; 0 found in S")
+    for x in S:
+        if not 0 < x < q:
+            raise InputError(f"{x} is not a residue in [1, {q})")
+    return {(k * x) % q for x in S} == S
 
 
 def canonical_colorings(n, num_colors=None):
@@ -175,7 +203,7 @@ def reference_classify_LM(c, k):
     if k == 0:
         raise InputError(f"coefficient k={k} is not invertible mod {q}")
     inv2 = pow(2, -1, q)
-    classes = [frozenset(xs) for xs in c.color_classes().values()]
+    classes = [frozenset(xs) for xs in color_classes(c).values()]
     k_is_2 = k == 2 % q
     k_is_minus1 = k == q - 1
 
@@ -220,7 +248,7 @@ def reference_classify_LM(c, k):
 
 
 def has_singleton_class(coloring):
-    sizes = [len(xs) for xs in coloring.color_classes().values()]
+    sizes = [len(xs) for xs in color_classes(coloring).values()]
     return min(sizes) == 1
 
 

@@ -16,7 +16,7 @@ from rainbow_lab.modcore import CyclicInstance, is_prime, prime_factorize
 from rainbow_lab.search import SearchConfig, iter_rainbow_free_colorings, rb_oracle
 from rainbow_lab.constructions import witness_general
 
-from conftest import canonical_colorings
+from conftest import canonical_colorings, color_classes
 
 BUDGET_60S = SearchConfig(time_budget=60.0)
 
@@ -165,11 +165,11 @@ def test_criterion_7_property_suites(rf_small_all_k, rf_k1_by_n, rf_kp_by_np):
     for (n, k), colorings in rf_small_all_k.items():
         units = [m for m in range(1, n) if math.gcd(m, n) == 1]
         for c in colorings:
-            sizes = sorted(len(s) for s in c.color_classes().values())
+            sizes = sorted(len(s) for s in color_classes(c).values())
             for m in units:
                 d = dilate(c, m)
                 assert is_rainbow_free(d, k)
-                assert sorted(len(s) for s in d.color_classes().values()) == sizes
+                assert sorted(len(s) for s in color_classes(d).values()) == sizes
 
     for n in range(2, 13):
         for c in rf_small_all_k[(n, 1)]:
@@ -183,7 +183,7 @@ def test_criterion_7_property_suites(rf_small_all_k, rf_k1_by_n, rf_kp_by_np):
         for c in colorings:
             assert check_symmetry(c)
             if c.num_colors() == 3:
-                assert any(len(s) == 1 for s in c.color_classes().values())
+                assert any(len(s) == 1 for s in color_classes(c).values())
 
     for n, colorings in rf_k1_by_n.items():
         for t in (t for t in range(2, n) if n % t == 0):

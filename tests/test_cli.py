@@ -93,9 +93,10 @@ class TestRb:
         assert messages[bound + 1].startswith("prunes: empty domain ")
 
     def test_inconclusive_exits_4(self, capsys):
+        # the full Z_40 search takes about 90 ms, far past the budget
         code, out, _ = run(
             capsys,
-            "rb", "--n", "26", "--k", "1", "--method", "search",
+            "rb", "--n", "40", "--k", "1", "--method", "search",
             "--budget-secs", "0.005",
         )
         assert code == cli.EXIT_INCONCLUSIVE

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import color_classes
 from rainbow_lab.coloring import (
     Coloring,
     LMCase,
@@ -55,7 +56,7 @@ class TestColoring:
     def test_num_colors_and_classes(self):
         c = Coloring(5, (0, 1, 2, 2, 1))
         assert c.num_colors() == 3
-        assert c.color_classes() == {0: {0}, 1: {1, 4}, 2: {2, 3}}
+        assert color_classes(c) == {0: {0}, 1: {1, 4}, 2: {2, 3}}
 
 
 class TestCanonicalForm:
@@ -112,7 +113,7 @@ class TestDilate:
         c = Coloring(7, (0, 1, 2, 0, 1, 2, 0))
         for m in range(1, 7):
             d = dilate(c, m)
-            assert sorted(len(s) for s in d.color_classes().values()) == [2, 2, 3]
+            assert sorted(len(s) for s in color_classes(d).values()) == [2, 2, 3]
 
 
 class TestDominantColors:

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import color_classes
 from rainbow_lab.coloring import Coloring, check_symmetry, is_rainbow_free
 from rainbow_lab.constructions import lift_general, witness_general
 from rainbow_lab.errors import InputError, UnsupportedCaseError
@@ -84,7 +85,7 @@ class TestWitnessQP:
 
     def test_power_orbit_classes(self):
         w = witness_general(13, 3)
-        classes = w.color_classes()
+        classes = color_classes(w)
         assert classes[0] == {0}
         assert classes[1] == {1, 3, 4, 9, 10, 12}
         assert classes[2] == {2, 5, 6, 7, 8, 11}
@@ -119,7 +120,7 @@ class TestMaxColoringQSymmetric:
                 c = witness_general(q, p)
                 assert c.num_colors() == rb_general(q, p).value - 1, (q, p)
                 assert check_symmetry(c), (q, p)
-                assert c.color_classes()[c.colors[0]] == {0}, (q, p)
+                assert color_classes(c)[c.colors[0]] == {0}, (q, p)
                 assert is_rainbow_free(c, p), (q, p)
 
 

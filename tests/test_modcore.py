@@ -1,13 +1,12 @@
 import pytest
 
+from conftest import is_k_periodic_subset, is_symmetric_subset
 from rainbow_lab.errors import InputError
 from rainbow_lab.modcore import (
     CyclicInstance,
     Triple,
     divisibility_count,
-    is_k_periodic_subset,
     is_prime,
-    is_symmetric_subset,
     iter_triples,
     multiplicative_order,
     prime_factorize,

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from conftest import KP_PAIRS, canonical_colorings, has_singleton_class
+from conftest import KP_PAIRS, canonical_colorings, color_classes, has_singleton_class
 from rainbow_lab.coloring import (
     Coloring,
     check_symmetry,
@@ -68,11 +68,11 @@ class TestDilation:
         for (n, k), colorings in rf_small_all_k.items():
             units = [m for m in range(1, n) if math.gcd(m, n) == 1]
             for c in colorings:
-                sizes = sorted(len(s) for s in c.color_classes().values())
+                sizes = sorted(len(s) for s in color_classes(c).values())
                 for m in units:
                     d = dilate(c, m)
                     assert is_rainbow_free(d, k), (n, k, c.colors, m)
-                    assert sorted(len(s) for s in d.color_classes().values()) == sizes
+                    assert sorted(len(s) for s in color_classes(d).values()) == sizes
 
     def test_both_directions_exhaustively_small(self):
         # dilation is a position bijection, so rainbow-freeness transfers both

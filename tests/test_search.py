@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import brute_rainbow_free, canonical_colorings, reference_search
+from conftest import brute_rainbow_free, canonical_colorings, color_classes, reference_search
 from rainbow_lab.cli import _general_lift
 from rainbow_lab.coloring import (
     Coloring,
@@ -67,8 +67,10 @@ class TestMaxRainbowFreeR:
         assert run() == run()
 
     def test_budget_exhaustion_is_inconclusive(self):
-        # a lower bound only: whatever was found is rainbow-free, not maximum
-        res = rb_oracle(CyclicInstance(26, 1), SearchConfig(time_budget=0.005))
+        # a lower bound only: whatever was found is rainbow-free, not maximum.
+        # The full Z_40 search takes about 90 ms, far past the 5 ms budget;
+        # Z_26, which takes 6-8 ms, could finish between two budget checks.
+        res = rb_oracle(CyclicInstance(40, 1), SearchConfig(time_budget=0.005))
         assert not res.detail["exhausted"]
         assert res.value == res.detail["r_max"] + 1
         assert res.witness is None or is_rainbow_free(res.witness, 1)
@@ -91,7 +93,8 @@ class TestRbOracle:
         assert result.detail["nodes_explored"] > 0
 
     def test_inconclusive_on_tiny_budget(self):
-        result = rb_oracle(CyclicInstance(26, 1), SearchConfig(time_budget=0.005))
+        # as above: a search that takes far longer than the budget
+        result = rb_oracle(CyclicInstance(40, 1), SearchConfig(time_budget=0.005))
         assert not result.conclusive
 
     def test_prune_counts_by_reason(self):
@@ -113,7 +116,7 @@ class TestEnumerateRainbowFree:
         stream = list(iter_rainbow_free_colorings(CyclicInstance(5, 1), 3, 3))
         assert stream
         for c in stream:
-            assert min(len(s) for s in c.color_classes().values()) == 1
+            assert min(len(s) for s in color_classes(c).values()) == 1
 
     def test_canonical_unique_lexicographic(self):
         stream = [c.colors for c in iter_rainbow_free_colorings(CyclicInstance(8, 1), 3, 3)]
@@ -169,29 +172,77 @@ class TestCountsOfAClosedEnumeration:
         assert len(recorded) == 1 and recorded[0].nodes > 0
 
 
+# (n, k, nodes, prune sum) of rb_oracle, and (n, k, nodes, colorings, prune
+# sum) of the enumeration with min_r = 3
+PINNED_RB = ((24, 23, 22116, 11982), (21, 3, 1448, 746))
+PINNED_ENUM = ((18, 1, 5104, 611, 438), (20, 3, 5385, 787, 836), (20, 5, 4590, 593, 1029))
+
+
 class TestPinnedCounts:
     """Machine-independent counts of the kernel, so that a speed change cannot
     change the search unnoticed. A node that both empties a domain and breaks
     the count bound counts under the reason found first, which depends on the
     walk order; only the sum of the two prune counts is pinned."""
 
-    @pytest.mark.parametrize(
-        "n, k, nodes, prunes", ((24, 23, 22116, 11982), (21, 3, 1448, 746))
-    )
+    @pytest.mark.parametrize("n, k, nodes, prunes", PINNED_RB)
     def test_rb_oracle(self, n, k, nodes, prunes):
         detail = rb_oracle(CyclicInstance(n, k)).detail
         assert detail["nodes_explored"] == nodes
         assert sum(detail["prunes"].values()) == prunes
 
-    @pytest.mark.parametrize(
-        "n, k, nodes, colorings, prunes",
-        ((18, 1, 5104, 611, 438), (20, 3, 5385, 787, 836), (20, 5, 4590, 593, 1029)),
-    )
+    @pytest.mark.parametrize("n, k, nodes, colorings, prunes", PINNED_ENUM)
     def test_enumeration_min_r_3(self, n, k, nodes, colorings, prunes):
         status = search._Status()
         found = sum(1 for _ in search._iter_canonical(CyclicInstance(n, k), status, min_r=3))
         assert (status.nodes, found) == (nodes, colorings)
         assert status.empty_domain + status.count_bound == prunes
+
+
+class TestNarrowingPathsAgree:
+    """Kept rows and walks narrow the same domains. At the default _ROW_MAX
+    most small searches keep every row and never walk, so each path is run
+    on its own here: _ROW_MAX = 0 keeps only the rows of the two end
+    positions, which narrow nothing, and a huge _ROW_MAX keeps every row."""
+
+    PATHS = {"walks": 0, "rows": 10**9}
+
+    @staticmethod
+    def rb_facts(n, k):
+        res = rb_oracle(CyclicInstance(n, k))
+        detail = res.detail
+        return (
+            detail["r_max"],
+            res.witness.colors,
+            detail["nodes_explored"],
+            sum(detail["prunes"].values()),
+        )
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_rb_oracle_matches_the_default(self, monkeypatch, n, path):
+        default = [self.rb_facts(n, k) for k in range(n)]
+        monkeypatch.setattr(search, "_ROW_MAX", self.PATHS[path])
+        assert [self.rb_facts(n, k) for k in range(n)] == default
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_enumeration_matches_unbounded_reference(self, monkeypatch, n):
+        for k in range(n):
+            kept = reference_search(n, k, 3)[2]
+            for row_max in self.PATHS.values():
+                monkeypatch.setattr(search, "_ROW_MAX", row_max)
+                found = [
+                    c.colors for c in iter_rainbow_free_colorings(CyclicInstance(n, k), min_r=3)
+                ]
+                assert found == kept, (n, k, row_max)
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_pinned_counts(self, monkeypatch, path):
+        monkeypatch.setattr(search, "_ROW_MAX", self.PATHS[path])
+        pinned = TestPinnedCounts()
+        for case in PINNED_RB:
+            pinned.test_rb_oracle(*case)
+        for case in PINNED_ENUM:
+            pinned.test_enumeration_min_r_3(*case)
 
 
 class TestBruteForceCrossCheck:

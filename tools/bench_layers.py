@@ -12,8 +12,9 @@ figures are cut into parts of CHUNK calls (a witness part repeats its call
 for about PART_S). Every figure runs PER_CALL_ROUNDS rounds, or fewer once
 its rounds add up to LIMIT_S. For each tree and each figure
 BENCH_layers.json (in this checkout) holds the median and the quartiles
-over the rounds, and `change_lower` counts the rounds in which the change
-was lower. Stdlib only; the test suite imports no tool.
+over the rounds, `ratio` holds the same of the per-round change/parent
+ratio, and `change_lower` counts the rounds in which the change was lower.
+Stdlib only; the test suite imports no tool.
 
 Figures, all for both trees:
 - checking layer, on the inputs of the benchmark's verify-classify
@@ -173,23 +174,27 @@ def alternate(trees, parts):
     return times, values
 
 
+def quartiles(values) -> dict:
+    q1, median, q3 = (
+        statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    )
+    return {key: float(f"{v:.4g}") for key, v in (("median", median), ("q1", q1), ("q3", q3))}
+
+
 def figure(times, scale, select=None, agg=sum) -> dict:
     """Per tree the median and quartiles over the rounds of agg over the
-    selected parts of a round, times scale; and the rounds in which the
-    change was lower."""
+    selected parts of a round, times scale; the same of the per-round
+    change/parent ratio, which both trees' load in a round shifts alike;
+    and the rounds in which the change was lower."""
     per_round = {
         name: [agg(r[i] for i in (select or range(len(r)))) * scale for r in rounds]
         for name, rounds in times.items()
     }
-    out = {}
-    for name, values in per_round.items():
-        q1, median, q3 = (
-            statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
-        )
-        out[name] = {"median": median, "q1": q1, "q3": q3}
-        out[name] = {key: float(f"{v:.4g}") for key, v in out[name].items()}
-    out["rounds"] = len(per_round["change"])
-    out["change_lower"] = sum(c < p for p, c in zip(per_round["parent"], per_round["change"]))
+    pairs = list(zip(per_round["parent"], per_round["change"]))
+    out = {name: quartiles(values) for name, values in per_round.items()}
+    out["ratio"] = quartiles([c / p for p, c in pairs])
+    out["rounds"] = len(pairs)
+    out["change_lower"] = sum(c < p for p, c in pairs)
     return out
 
 
@@ -471,9 +476,10 @@ def main() -> int:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     for path, fig in figures(doc):
-        p, c = fig["parent"]["median"], fig["change"]["median"]
+        p, c, ratio = fig["parent"]["median"], fig["change"]["median"], fig["ratio"]
         print(
-            f"{path}: {p:g} -> {c:g} ({c / p:.3f}),"
+            f"{path}: {p:g} -> {c:g}, ratio {ratio['median']:.3f}"
+            f" [{ratio['q1']:.3f}, {ratio['q3']:.3f}],"
             f" change lower in {fig['change_lower']} of {fig['rounds']}"
         )
     for line in doc["mismatches"]:
