@@ -1,7 +1,8 @@
 """Rainbow numbers rb(Z_n, k) for x1 + x2 = k*x3 in Z_n.
 
 Closed-form values, an exhaustive search oracle, verified lower-bound witness
-colorings, structural predicates on colorings, and a certificate-based CLI.
+colorings, the rainbow scan and the Llano-Montejano classifier of 3-colorings,
+and a certificate-based CLI.
 """
 
 __version__ = "0.1.0"
@@ -12,15 +13,10 @@ from .coloring import (
     LMCase,
     LMClassification,
     canonicalize,
-    check_symmetry,
     classify_3coloring_LM,
-    dilate,
-    dominant_colors,
     find_rainbow_triple,
     is_canonical,
     is_rainbow_free,
-    project_general,
-    project_schur,
     residue_palettes,
 )
 from .constructions import lift_general, witness_general
@@ -36,9 +32,7 @@ from .formulas import rb_formula, rb_general, rb_schur
 from .modcore import (
     CyclicInstance,
     Triple,
-    divisibility_count,
     is_prime,
-    iter_triples,
     multiplicative_order,
     prime_factorize,
 )

@@ -6,19 +6,25 @@ non-canonical files with a normalization hint rather than silently renaming.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from .coloring import Coloring, canonicalize, is_canonical
 from .errors import CertificateError
 
 
-@dataclass(frozen=True)
-class Certificate:
+class _CertificateFields(NamedTuple):
     n: int
     k: int
     colors: tuple[int, ...]
-    meta: dict[str, Any] = field(default_factory=dict)
+    meta: dict[str, Any]
+
+
+class Certificate(_CertificateFields):
+    __slots__ = ()
+
+    def __new__(cls, n, k, colors, meta=None):
+        # each certificate gets a dict of its own when meta is left out
+        return super().__new__(cls, n, k, colors, {} if meta is None else meta)
 
     def coloring(self) -> Coloring:
         return Coloring(self.n, self.colors)

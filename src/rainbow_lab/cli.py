@@ -7,10 +7,8 @@ Exit codes: 0 ok, 1 rainbow triple found during verify, 2 input/scope error,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
-import logging
 import os
 import sys
 
@@ -32,7 +30,11 @@ EXIT_BROKEN_PIPE = 141
 
 TABLE_COLUMNS = ["n", "k", "rb_formula", "rb_search", "agree", "elapsed_ms", "nodes"]
 
-log = logging.getLogger("rainbow_lab")
+
+def _info(args, message: str) -> None:
+    """A detail line on this call's stderr, printed only under -v."""
+    if args.verbose:
+        print(f"INFO {message}", file=sys.stderr)
 
 
 def cmd_rb(args) -> int:
@@ -46,15 +48,13 @@ def cmd_rb(args) -> int:
         seed = _general_lift(args.n, args.k) if args.method == "both" else None
         search = rb_oracle(inst, SearchConfig(time_budget=args.budget_secs), seed)
         if seed is not None:
-            log.info(
-                "lower bound: %d colors from general-lift",
-                search.detail["lower_bound_r"],
-            )
+            lower = search.detail["lower_bound_r"]
+            _info(args, f"lower bound: {lower} colors from general-lift")
         prunes = search.detail["prunes"]
-        log.info(
-            "prunes: empty domain %d, count bound %d",
-            prunes["empty_domain"],
-            prunes["count_bound"],
+        _info(
+            args,
+            f"prunes: empty domain {prunes['empty_domain']}, "
+            f"count bound {prunes['count_bound']}",
         )
         if not search.conclusive:
             print(
@@ -67,7 +67,7 @@ def cmd_rb(args) -> int:
     if args.method == "formula":
         print(f"rb({args.n},{args.k}) = {formula.value} [{formula.method.value}]")
         for term in formula.detail.get("terms", ()):
-            log.info("contribution: %s", term)
+            _info(args, f"contribution: {term}")
     elif args.method == "search":
         print(
             f"rb({args.n},{args.k}) = {search.value} [oracle: "
@@ -173,7 +173,7 @@ def cmd_table(args) -> int:
     any_inconclusive = False
     for n in range(2, args.n_max + 1):
         # a row without a closed form is search-only, with a blank formula;
-        # blank cells are None, which csv writes as an empty field
+        # blank cells are None, which the csv output writes as an empty field
         try:
             formula_value = rb_formula(n, args.k).value
         except UnsupportedCaseError:
@@ -204,9 +204,9 @@ def cmd_table(args) -> int:
         rows.append([n, args.k, formula_value, search.value, "yes", elapsed_ms, nodes])
 
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(TABLE_COLUMNS)
-        writer.writerows(rows)
+        # every cell is an int, None or a fixed word, so none needs quoting
+        for row in [TABLE_COLUMNS, *rows]:
+            print(",".join("" if cell is None else str(cell) for cell in row))
     else:
         json.dump([dict(zip(TABLE_COLUMNS, row)) for row in rows], sys.stdout, indent=2)
         print()
@@ -274,13 +274,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    # -v and the log stream belong to this call: the handler writes to the
-    # current sys.stderr, and the root logger is left to the embedding program
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
-    level = log.level
-    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
-    log.addHandler(handler)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe must fail here, not at exit
@@ -295,9 +288,6 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    finally:
-        log.removeHandler(handler)
-        log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -1,41 +1,37 @@
-"""Colorings of Z_n and every structural predicate stated about them.
+"""Colorings of Z_n and the checks the package runs on them.
 
-Rainbow detection, dilation, dominant colors, residue palettes, palette-based
-projection, and the Llano-Montejano classification of rainbow-free 3-colorings
-of Z_q.
+Canonical labels, rainbow detection, residue palettes, and the
+Llano-Montejano classification of rainbow-free 3-colorings of Z_q.
 """
 from __future__ import annotations
 
 import functools
-import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, islice, repeat
 from operator import itemgetter, ne
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InputError
-from .modcore import Triple, _solutions_table, is_prime
+from .modcore import Triple, _Frozen, _solutions_table, is_prime
 
 Palette = frozenset[int]
 
 
-@dataclass(frozen=True, slots=True)
-class Coloring:
+class Coloring(_Frozen):
     """A length-n assignment of small non-negative color ids to Z_n."""
 
-    n: int
-    colors: tuple[int, ...]
+    __slots__ = ("n", "colors")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise InputError(f"modulus must be positive, got {self.n}")
-        colors = tuple(self.colors)  # no copy when it is already a tuple
-        if len(colors) != self.n:
-            raise InputError(f"expected {self.n} colors, got {len(colors)}")
+    def __init__(self, n: int, colors: tuple[int, ...]):
+        if n < 1:
+            raise InputError(f"modulus must be positive, got {n}")
+        colors = tuple(colors)  # no copy when it is already a tuple
+        if len(colors) != n:
+            raise InputError(f"expected {n} colors, got {len(colors)}")
         if min(colors) < 0:
             raise InputError("color ids must be non-negative")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "colors", colors)
 
     def num_colors(self) -> int:
@@ -172,39 +168,6 @@ def is_rainbow_free(c: Coloring, k: int) -> bool:
     return find_rainbow_triple(c, k) is None
 
 
-def dilate(c: Coloring, m: int) -> Coloring:
-    """The coloring x -> c(m*x mod n), for m coprime to n.
-
-    A bijective relabeling of positions: color-class cardinalities and the
-    existence of rainbow triples are preserved.
-    """
-    if math.gcd(m, c.n) != 1:
-        raise InputError(f"dilation factor {m} is not coprime to {c.n}")
-    return Coloring(c.n, tuple(c.colors[(m * x) % c.n] for x in range(c.n)))
-
-
-def dominant_colors(c: Coloring) -> set[int]:
-    """Colors that appear in every bichromatic string of the coloring.
-
-    Checked on cyclically-adjacent differing pairs; any contiguous bichromatic
-    interval contains an adjacent differing pair of its two colors, so the two
-    readings agree. A coloring with no differing adjacent pair (monochromatic)
-    has every color vacuously dominant.
-    """
-    dominant: Optional[set[int]] = None
-    cols = c.colors
-    for i in range(c.n):
-        a, b = cols[i], cols[(i + 1) % c.n]
-        if a != b:
-            pair = {a, b}
-            dominant = pair if dominant is None else dominant & pair
-            if not dominant:
-                return set()
-    if dominant is None:
-        return set(cols)
-    return dominant
-
-
 def residue_palettes(c: Coloring, t: int) -> list[Palette]:
     """P_i = set of colors on positions congruent to i mod t, for 0 <= i < t."""
     if t < 1 or c.n % t != 0:
@@ -215,48 +178,6 @@ def residue_palettes(c: Coloring, t: int) -> list[Palette]:
     return [frozenset(p) for p in palettes]
 
 
-def check_symmetry(c: Coloring) -> bool:
-    """True iff c(x) = c(-x) for all x."""
-    return all(c.colors[x] == c.colors[(c.n - x) % c.n] for x in range(c.n))
-
-
-def _project_relative(c: Coloring, t: int, base: int) -> Coloring:
-    palettes = residue_palettes(c, t)
-    p_base = palettes[base]
-    alpha = max(c.colors) + 1
-    out = []
-    for i, p in enumerate(palettes):
-        extra = p - p_base
-        if len(extra) >= 2:
-            raise InputError(
-                f"residue class {i} carries {len(extra)} colors outside the "
-                f"base palette P_{base}; projection needs at most 1"
-            )
-        out.append(next(iter(extra)) if extra else alpha)
-    return Coloring(t, tuple(out))
-
-
-def project_schur(c: Coloring, t: int) -> Coloring:
-    """Reduce a coloring of Z_{st} to Z_t by the palette of each residue class.
-
-    Position i receives the unique color of P_i \\ P_0 when that set is a
-    singleton, and a reserved fresh color (max color id + 1) otherwise.
-    Rainbow-free colorings always satisfy the |P_i \\ P_0| <= 1 precondition.
-    """
-    return _project_relative(c, t, base=0)
-
-
-def project_general(c: Coloring, t: int) -> Coloring:
-    """As project_schur, but relative to a largest palette P_j (ties: smallest j).
-
-    This is the reduction used for the equation with a prime coefficient, where
-    the base residue class need not be R_0.
-    """
-    palettes = residue_palettes(c, t)
-    best = max(range(t), key=lambda j: (len(palettes[j]), -j))
-    return _project_relative(c, t, base=best)
-
-
 class LMCase(Enum):
     CASE1 = "case1"
     CASE2I = "case2i"
@@ -265,8 +186,7 @@ class LMCase(Enum):
     NOT_RAINBOW_FREE_FORM = "not-rainbow-free-form"
 
 
-@dataclass(frozen=True)
-class LMClassification:
+class LMClassification(NamedTuple):
     case: LMCase
     dilation: Optional[int] = None
 

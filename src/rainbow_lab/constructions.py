@@ -105,10 +105,15 @@ def lift_general(base: Coloring, q: int, p: int) -> Coloring:
 
 
 def witness_general(n: int, p: int) -> Coloring:
-    """Maximum rainbow-free coloring of Z_n for k=p, p = 1 or prime
-    (rb_general(n, p) - 1 colors): the prime-power witness when p divides n,
+    """Rainbow-free coloring of Z_n for k=p, p = 1 or prime, with
+    rb_general(n, p) - 1 colors: the prime-power witness when p divides n,
     else the single color of Z_1, lifted over every other prime factor of n
-    in increasing order."""
+    in increasing order.
+
+    It is a maximum coloring except on the 3-adic family named in the module
+    docstring (9 | n, p does not divide n, p = 2 mod 3 and p != 2 mod 3^v
+    with v = v_3(n)), where it is one color short of the maximum the
+    exhaustive oracle finds, e.g. 3 colors against 4 on Z_9 with p = 5."""
     if n < 2:
         raise InputError(f"requires n >= 2, got {n}")
     alpha = 0

@@ -1,35 +1,65 @@
 """Exact modular arithmetic for the equation x1 + x2 = k*x3 in Z_n.
 
-Triple enumeration, divisibility structure of triples, multiplicative orders
-and factorization. All functions are pure and operate on small immutable
-values.
+Solution tables, multiplicative orders and factorization. All functions are
+pure and operate on small immutable values.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import InputError
 
 Factorization = list[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class CyclicInstance:
+class _Frozen:
+    """Base of the package's immutable value classes, without the import of
+    dataclasses. A subclass's fields are its __slots__, set once by its
+    __init__; equality, hash and repr read them in order, as those of a
+    frozen dataclass do, and assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class CyclicInstance(_Frozen):
     """The equation x1 + x2 = k*x3 over Z_n.
 
     The coefficient is stored reduced into [0, n); the congruence only depends
     on k mod n.
     """
 
-    n: int
-    k: int
+    __slots__ = ("n", "k")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise InputError(f"modulus must be a positive integer, got {self.n}")
-        object.__setattr__(self, "k", self.k % self.n)
+    def __init__(self, n: int, k: int):
+        if n < 1:
+            raise InputError(f"modulus must be a positive integer, got {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k % n)
 
 
 class Triple(NamedTuple):
@@ -92,20 +122,6 @@ def _solutions_table(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(s) for s in sols)
 
 
-def iter_triples(inst: CyclicInstance) -> Iterator[Triple]:
-    """All solutions of x1 + x2 = k*x3 (mod n) in lexicographic order.
-
-    Repeated coordinates are allowed; rainbowness requires three distinct
-    colors, which makes repeated elements harmless downstream.
-    """
-    n = inst.n
-    sols = solutions_by_sum(n, inst.k)
-    for x1 in range(n):
-        for x2 in range(n):
-            for x3 in sols[(x1 + x2) % n]:
-                yield Triple(x1, x2, x3)
-
-
 def multiplicative_order(a: int, q: int) -> int:
     """Smallest e >= 1 with a**e = 1 (mod q), for q prime and a not divisible by q."""
     if not is_prime(q):
@@ -118,14 +134,3 @@ def multiplicative_order(a: int, q: int) -> int:
         power = (power * a) % q
         e += 1
     return e
-
-
-def divisibility_count(t: Triple, q: int) -> int:
-    """How many coordinates of the triple are divisible by the prime q (0..3).
-
-    When gcd(q, k) = 1 the value 2 never occurs; that is a module property
-    checked by the test suite, not a postcondition.
-    """
-    if not is_prime(q):
-        raise InputError(f"{q} is not prime")
-    return sum(1 for x in t if x % q == 0)

@@ -1,9 +1,8 @@
 """Rainbow-number results with provenance."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Any, NamedTuple, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .coloring import Coloring
@@ -14,8 +13,15 @@ class Method(Enum):
     ORACLE = "oracle"
 
 
-@dataclass(frozen=True)
-class RbResult:
+class _RbFields(NamedTuple):
+    value: int
+    method: Method
+    detail: dict[str, Any]
+    conclusive: bool
+    witness: Optional["Coloring"]
+
+
+class RbResult(_RbFields):
     """A rainbow-number value plus how it was obtained.
 
     detail carries the per-prime contribution breakdown for formula paths and
@@ -23,8 +29,9 @@ class RbResult:
     budget-exhausted search; the value is then only a lower bound.
     """
 
-    value: int
-    method: Method
-    detail: dict[str, Any] = field(default_factory=dict)
-    conclusive: bool = True
-    witness: Optional["Coloring"] = None
+    __slots__ = ()
+
+    def __new__(cls, value, method, detail=None, conclusive=True, witness=None):
+        # each result gets a dict of its own when detail is left out
+        detail = {} if detail is None else detail
+        return super().__new__(cls, value, method, detail, conclusive, witness)

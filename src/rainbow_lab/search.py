@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .coloring import Coloring, canonicalize, find_rainbow_triple
 from .errors import InputError, SearchInconclusiveError
-from .modcore import CyclicInstance, solutions_by_sum
+from .modcore import CyclicInstance, _Frozen, solutions_by_sum
 from .results import Method, RbResult
 
 _BUDGET_CHECK_WORK = 4096  # check the clock every 4096 row entries or positions walked
@@ -47,16 +46,16 @@ _ROW_MAX = 64
 _FORWARD_WEIGHT = 2
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    time_budget: float = 60.0  # seconds
+class SearchConfig(_Frozen):
+    __slots__ = ("time_budget",)
 
-    def __post_init__(self):
+    def __init__(self, time_budget: float = 60.0):  # seconds
         # a nan or infinite deadline never compares past, so it would never stop
-        if not (math.isfinite(self.time_budget) and self.time_budget > 0):
+        if not (math.isfinite(time_budget) and time_budget > 0):
             raise InputError(
-                f"time_budget must be a positive finite number, got {self.time_budget}"
+                f"time_budget must be a positive finite number, got {time_budget}"
             )
+        object.__setattr__(self, "time_budget", time_budget)
 
 
 class _Status:

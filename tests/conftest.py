@@ -1,12 +1,15 @@
-"""Shared fixtures and independent brute-force oracles.
+"""Shared fixtures, independent brute-force oracles and test-only helpers.
 
 The session-scoped fixtures cache the expensive rainbow-free enumerations so
 the property suites and the acceptance suite traverse each search space once.
 The brute-force helpers deliberately avoid the package's triple index and
 solution tables: they are the independent cross-check for the search kernel
-and the rainbow scan. The one exception, reference_pair_scan, is itself
-checked against the brute force. The reference LM classifier keeps the plain
-form that tries case 3 at every dilation.
+and the rainbow scan. The exceptions, reference_pair_scan and iter_triples,
+are themselves checked against the brute force or by counting. The reference
+LM classifier keeps the plain form that tries case 3 at every dilation. The
+structural predicates (dilation, dominant colors, symmetry, projections,
+divisibility counts) state the paper's lemmas; only the suites use them, so
+they live here rather than in the package.
 """
 from __future__ import annotations
 
@@ -14,8 +17,10 @@ import math
 
 import pytest
 
+from typing import Iterator, Optional
+
 from rainbow_lab import CyclicInstance, SearchConfig
-from rainbow_lab.coloring import LMCase, LMClassification
+from rainbow_lab.coloring import Coloring, LMCase, LMClassification, residue_palettes
 from rainbow_lab.errors import InputError
 from rainbow_lab.modcore import Triple, is_prime, prime_factorize, solutions_by_sum
 from rainbow_lab.search import iter_rainbow_free_colorings
@@ -61,6 +66,106 @@ def is_k_periodic_subset(S, k, q):
         if not 0 < x < q:
             raise InputError(f"{x} is not a residue in [1, {q})")
     return {(k * x) % q for x in S} == S
+
+
+def iter_triples(inst: CyclicInstance) -> Iterator[Triple]:
+    """All solutions of x1 + x2 = k*x3 (mod n) in lexicographic order.
+
+    Repeated coordinates are allowed; rainbowness requires three distinct
+    colors, which makes repeated elements harmless downstream.
+    """
+    n = inst.n
+    sols = solutions_by_sum(n, inst.k)
+    for x1 in range(n):
+        for x2 in range(n):
+            for x3 in sols[(x1 + x2) % n]:
+                yield Triple(x1, x2, x3)
+
+
+def divisibility_count(t: Triple, q: int) -> int:
+    """How many coordinates of the triple are divisible by the prime q (0..3).
+
+    When gcd(q, k) = 1 the value 2 never occurs; that is a module property
+    checked by the test suite, not a postcondition.
+    """
+    if not is_prime(q):
+        raise InputError(f"{q} is not prime")
+    return sum(1 for x in t if x % q == 0)
+
+
+def dilate(c: Coloring, m: int) -> Coloring:
+    """The coloring x -> c(m*x mod n), for m coprime to n.
+
+    A bijective relabeling of positions: color-class cardinalities and the
+    existence of rainbow triples are preserved.
+    """
+    if math.gcd(m, c.n) != 1:
+        raise InputError(f"dilation factor {m} is not coprime to {c.n}")
+    return Coloring(c.n, tuple(c.colors[(m * x) % c.n] for x in range(c.n)))
+
+
+def dominant_colors(c: Coloring) -> set[int]:
+    """Colors that appear in every bichromatic string of the coloring.
+
+    Checked on cyclically-adjacent differing pairs; any contiguous bichromatic
+    interval contains an adjacent differing pair of its two colors, so the two
+    readings agree. A coloring with no differing adjacent pair (monochromatic)
+    has every color vacuously dominant.
+    """
+    dominant: Optional[set[int]] = None
+    cols = c.colors
+    for i in range(c.n):
+        a, b = cols[i], cols[(i + 1) % c.n]
+        if a != b:
+            pair = {a, b}
+            dominant = pair if dominant is None else dominant & pair
+            if not dominant:
+                return set()
+    if dominant is None:
+        return set(cols)
+    return dominant
+
+
+def check_symmetry(c: Coloring) -> bool:
+    """True iff c(x) = c(-x) for all x."""
+    return all(c.colors[x] == c.colors[(c.n - x) % c.n] for x in range(c.n))
+
+
+def _project_relative(c: Coloring, t: int, base: int) -> Coloring:
+    palettes = residue_palettes(c, t)
+    p_base = palettes[base]
+    alpha = max(c.colors) + 1
+    out = []
+    for i, p in enumerate(palettes):
+        extra = p - p_base
+        if len(extra) >= 2:
+            raise InputError(
+                f"residue class {i} carries {len(extra)} colors outside the "
+                f"base palette P_{base}; projection needs at most 1"
+            )
+        out.append(next(iter(extra)) if extra else alpha)
+    return Coloring(t, tuple(out))
+
+
+def project_schur(c: Coloring, t: int) -> Coloring:
+    """Reduce a coloring of Z_{st} to Z_t by the palette of each residue class.
+
+    Position i receives the unique color of P_i \\ P_0 when that set is a
+    singleton, and a reserved fresh color (max color id + 1) otherwise.
+    Rainbow-free colorings always satisfy the |P_i \\ P_0| <= 1 precondition.
+    """
+    return _project_relative(c, t, base=0)
+
+
+def project_general(c: Coloring, t: int) -> Coloring:
+    """As project_schur, but relative to a largest palette P_j (ties: smallest j).
+
+    This is the reduction used for the equation with a prime coefficient, where
+    the base residue class need not be R_0.
+    """
+    palettes = residue_palettes(c, t)
+    best = max(range(t), key=lambda j: (len(palettes[j]), -j))
+    return _project_relative(c, t, base=best)
 
 
 def canonical_colorings(n, num_colors=None):

@@ -143,15 +143,16 @@ def test_criterion_6_construction_suite():
 def test_criterion_7_property_suites(rf_small_all_k, rf_k1_by_n, rf_kp_by_np):
     # the full suites live in test_properties.py and run as part of this
     # session; re-assert the headline facts here so this criterion stands alone
-    from rainbow_lab.coloring import (
+    from conftest import (
         check_symmetry,
         dilate,
+        divisibility_count,
         dominant_colors,
+        iter_triples,
         project_general,
         project_schur,
-        residue_palettes,
     )
-    from rainbow_lab.modcore import divisibility_count, iter_triples
+    from rainbow_lab.coloring import residue_palettes
 
     for n in range(1, 31):
         for k in range(n):

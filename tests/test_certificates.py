@@ -24,6 +24,10 @@ class TestMakeCertificate:
     def test_reduces_k(self):
         assert make_certificate(Coloring(4, (0, 1, 1, 0)), 9).k == 1
 
+    def test_default_meta_is_not_shared(self):
+        first, second = Certificate(2, 1, (0, 1)), Certificate(2, 1, (0, 1))
+        assert first.meta == {} and first.meta is not second.meta
+
     def test_meta_is_copied(self):
         meta = {"construction": "x"}
         cert = make_certificate(Coloring(2, (0, 1)), 1, meta=meta)

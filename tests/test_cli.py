@@ -83,14 +83,13 @@ class TestRb:
         assert out.startswith("rb(21,3) = 4 [oracle: 1448 nodes, ")
         assert seeds == [None]
 
-    def test_both_seeds_the_search_with_the_construction(self, capsys, caplog):
-        caplog.set_level(logging.INFO, logger="rainbow_lab")
-        code, out, _ = run(capsys, "-v", "rb", "--n", "21", "--k", "3", "--method", "both")
+    def test_both_seeds_the_search_with_the_construction(self, capsys):
+        code, out, err = run(capsys, "-v", "rb", "--n", "21", "--k", "3", "--method", "both")
         assert code == cli.EXIT_OK
         assert out == "rb(21,3) = 4, formula=search\n"
-        messages = [r.getMessage() for r in caplog.records]
-        bound = messages.index("lower bound: 3 colors from general-lift")
-        assert messages[bound + 1].startswith("prunes: empty domain ")
+        lines = err.splitlines()
+        bound = lines.index("INFO lower bound: 3 colors from general-lift")
+        assert lines[bound + 1].startswith("INFO prunes: empty domain ")
 
     def test_inconclusive_exits_4(self, capsys):
         # the full Z_40 search takes about 90 ms, far past the budget
@@ -102,18 +101,15 @@ class TestRb:
         assert code == cli.EXIT_INCONCLUSIVE
         assert "inconclusive" in out
 
-    def test_verbose_logs_prune_counts(self, capsys, caplog):
-        caplog.set_level(logging.INFO, logger="rainbow_lab")
-        code, out, _ = run(
+    def test_verbose_logs_prune_counts(self, capsys):
+        code, out, err = run(
             capsys, "-v", "rb", "--n", "21", "--k", "3", "--method", "search"
         )
         assert code == cli.EXIT_OK
         assert out.startswith("rb(21,3) = 4 [oracle: ") and out.count("\n") == 1
         assert any(
-            r.levelno == logging.INFO
-            and r.getMessage().startswith("prunes: empty domain ")
-            and ", count bound " in r.getMessage()
-            for r in caplog.records
+            line.startswith("INFO prunes: empty domain ") and ", count bound " in line
+            for line in err.splitlines()
         )
 
     @pytest.mark.parametrize("budget", ("nan", "inf"))
@@ -397,6 +393,23 @@ class TestParser:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             cli.main([])
+
+
+class TestColdStart:
+    def test_import_leaves_logging_csv_and_dataclasses_out(self):
+        # every command starts a fresh interpreter and pays for each import;
+        # -S keeps site from loading any of them first
+        script = (
+            "import json, sys\n"
+            "import rainbow_lab.cli\n"
+            "print(json.dumps(sorted({'logging', 'csv', 'dataclasses'} & set(sys.modules))))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            capture_output=True, text=True, env=_env_with_package(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
 
 
 class TestRepeatedCalls:

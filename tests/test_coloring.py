@@ -1,24 +1,27 @@
 import itertools
+import pickle
 import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import color_classes
+from conftest import (
+    check_symmetry,
+    color_classes,
+    dilate,
+    dominant_colors,
+    project_general,
+    project_schur,
+)
 from rainbow_lab.coloring import (
     Coloring,
     LMCase,
     canonicalize,
-    check_symmetry,
     classify_3coloring_LM,
-    dilate,
-    dominant_colors,
     find_rainbow_triple,
     is_canonical,
     is_rainbow_free,
-    project_general,
-    project_schur,
     residue_palettes,
 )
 from rainbow_lab.constructions import witness_general
@@ -52,6 +55,11 @@ class TestColoring:
         assert not hasattr(c, "__dict__")
         with pytest.raises(AttributeError):
             c.colors = (1, 0)
+
+    def test_repr_and_pickle(self):
+        c = Coloring(3, [0, 1, 1])
+        assert repr(c) == "Coloring(n=3, colors=(0, 1, 1))"
+        assert pickle.loads(pickle.dumps(c)) == c
 
     def test_num_colors_and_classes(self):
         c = Coloring(5, (0, 1, 2, 2, 1))

@@ -1,7 +1,7 @@
 import pytest
 
-from conftest import color_classes
-from rainbow_lab.coloring import Coloring, check_symmetry, is_rainbow_free
+from conftest import check_symmetry, color_classes
+from rainbow_lab.coloring import Coloring, is_rainbow_free
 from rainbow_lab.constructions import lift_general, witness_general
 from rainbow_lab.errors import InputError, UnsupportedCaseError
 from rainbow_lab.formulas import rb_general

@@ -1,13 +1,16 @@
 import pytest
 
-from conftest import is_k_periodic_subset, is_symmetric_subset
+from conftest import (
+    divisibility_count,
+    is_k_periodic_subset,
+    is_symmetric_subset,
+    iter_triples,
+)
 from rainbow_lab.errors import InputError
 from rainbow_lab.modcore import (
     CyclicInstance,
     Triple,
-    divisibility_count,
     is_prime,
-    iter_triples,
     multiplicative_order,
     prime_factorize,
 )
@@ -22,6 +25,17 @@ class TestCyclicInstance:
     def test_nonpositive_modulus_rejected(self):
         with pytest.raises(InputError):
             CyclicInstance(0, 1)
+
+    def test_value_semantics(self):
+        inst = CyclicInstance(5, 7)
+        assert inst == CyclicInstance(5, 2) and hash(inst) == hash(CyclicInstance(5, 2))
+        assert inst != CyclicInstance(7, 2)
+        assert repr(inst) == "CyclicInstance(n=5, k=2)"
+        assert not hasattr(inst, "__dict__")
+        with pytest.raises(AttributeError):
+            inst.k = 3
+        with pytest.raises(AttributeError):
+            del inst.n
 
 
 class TestPrimes:

@@ -9,22 +9,23 @@ import math
 
 import pytest
 
-from conftest import KP_PAIRS, canonical_colorings, color_classes, has_singleton_class
-from rainbow_lab.coloring import (
-    Coloring,
+from conftest import (
+    KP_PAIRS,
+    canonical_colorings,
     check_symmetry,
+    color_classes,
     dilate,
+    divisibility_count,
     dominant_colors,
-    is_rainbow_free,
+    has_singleton_class,
+    iter_triples,
     project_general,
     project_schur,
-    residue_palettes,
 )
+from rainbow_lab.coloring import Coloring, is_rainbow_free, residue_palettes
 from rainbow_lab.modcore import (
     CyclicInstance,
-    divisibility_count,
     is_prime,
-    iter_triples,
     multiplicative_order,
     prime_factorize,
 )

@@ -17,6 +17,7 @@ from rainbow_lab.errors import InputError, SearchInconclusiveError
 from rainbow_lab.formulas import rb_formula
 from rainbow_lab import search
 from rainbow_lab.modcore import CyclicInstance
+from rainbow_lab.results import Method, RbResult
 from rainbow_lab.search import (
     SearchConfig,
     iter_rainbow_free_colorings,
@@ -34,6 +35,20 @@ class TestSearchConfig:
         # a nan or infinite deadline is never passed, so the search never stops
         with pytest.raises(InputError):
             SearchConfig(time_budget=budget)
+
+    def test_value_semantics(self):
+        cfg = SearchConfig()
+        assert cfg == SearchConfig(60.0) and hash(cfg) == hash(SearchConfig(60.0))
+        assert repr(cfg) == "SearchConfig(time_budget=60.0)"
+        with pytest.raises(AttributeError):
+            cfg.time_budget = 1.0
+
+
+class TestRbResult:
+    def test_default_detail_is_not_shared(self):
+        first, second = RbResult(3, Method.ORACLE), RbResult(3, Method.ORACLE)
+        assert first.detail == {} and first.detail is not second.detail
+        assert (first.conclusive, first.witness) == (True, None)
 
 
 class TestMaxRainbowFreeR:

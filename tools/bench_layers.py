@@ -92,9 +92,12 @@ SLOW = [(32, 31), (34, 33), (36, 35), (72, 5), (81, 5)]
 # the oracle-sweep workload's instances at seed 23
 SWEEP_RB = [(16, 7), (17, 7), (18, 2), (19, 2), (20, 2), (21, 3)]
 SWEEP_ENUM = [(16, 2), (18, 1), (20, 3), (17, 13)]
+# the formula command does almost no work: it times interpreter start, the
+# package's import and the parser
 CLI = [
     ["table", "--n-max", "24", "--k", "1"],
     ["rb", "--n", "30", "--k", "29", "--method", "search"],
+    ["rb", "--n", "30", "--k", "29", "--method", "formula"],
 ]
 
 
