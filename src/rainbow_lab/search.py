@@ -9,8 +9,9 @@ interest. Each position's partner row, the earlier partners that share a
 triple with a later position and those later positions, is built once and
 kept for the whole search, and a node narrows the later domains by reading
 it. Only where rows would be long, at large n or gcd(k, n), does a node
-instead walk its earlier partners, or the later positions when fewer of
-those remain. Triples are solved from an O(n) table and the kept rows hold
+instead walk its earlier partners. A kept row is solved once from the
+shorter side, the earlier partners or the later positions, in O(_ROW_MAX)
+work. Triples are solved from an O(n) table and the kept rows hold
 O(_ROW_MAX^2) entries whatever n is, so memory is O(n), and the time budget
 covers all of the work, row building included. The search is exact when it
 runs to completion; running out of time budget yields a first-class
@@ -37,13 +38,6 @@ _BUDGET_CHECK_WORK = 4096  # check the clock every 4096 row entries or positions
 # A position keeps its partner row when (gcd(k, n) + 2) * min(pos, later
 # positions), a bound on the row's length, is at most _ROW_MAX.
 _ROW_MAX = 64
-# A position without a kept row walks its later positions when
-# 2 * (their count) < pos. On such positions the weight hardly matters:
-# rb_oracle on Z_72 k=5 plus Z_60 k=1, five alternating rounds
-# (2 cores, Python 3.11.7), read medians of 12.5, 11.1, 11.7, 12.0 and
-# 12.0 s at weights 1, 1.5, 2, 3 and 1000 (backward only), inside the
-# rounds' spread of 10-16 s.
-_FORWARD_WEIGHT = 2
 
 
 class SearchConfig(_Frozen):
@@ -74,10 +68,12 @@ _ALL = -1  # a domain no triple has narrowed: every color, a new one too
 def _partner_row(n: int, k: int, sols, pos: int) -> tuple:
     """The partners a < pos that form a triple with pos and some y > pos,
     each with its third coordinates y, deduplicated: ((a, ys), ...) by
-    increasing a. Solved by the walk a node at pos would take."""
+    increasing a. Solved from the shorter side, the later positions y when
+    fewer of those remain, else the partners a: min(pos, n - 1 - pos) + 1
+    steps."""
     kp = k * pos
     thirds: dict[int, dict[int, None]] = {}
-    if _FORWARD_WEIGHT * (n - 1 - pos) < pos:
+    if n - 1 - pos < pos:
         for y in range(pos + 1, n):
             for a in sols[(pos + y) % n] + ((k * y - pos) % n, (kp - y) % n):
                 if a < pos:
@@ -124,18 +120,17 @@ def _iter_canonical(
     y of the others. Every row is kept when (gcd + 2) * ((n - 1) // 2) is
     at most _ROW_MAX, so for every n <= 44 at gcd 1; at larger n only about
     2 * _ROW_MAX / (gcd + 2) positions near the two ends keep theirs, so
-    the kept rows hold O(_ROW_MAX^2) entries whatever n is. Building them
-    counts toward the work the budget is checked by.
+    the kept rows hold O(_ROW_MAX^2) entries whatever n is. A row is solved
+    from the shorter side: near the end from the later positions y, with
+    a = k*y - pos, a = k*pos - y and k*a = pos + y, the same three
+    relations solved for a. So each costs O(_ROW_MAX) steps whatever n is,
+    and building them counts toward the work the budget is checked by.
 
-    A node at any other position walks, one of two walks that see the same
-    triples as the row. The backward walk visits the partners a < pos and
-    solves each pair for its third coordinates y > pos. The forward walk
-    visits the later positions y and folds into dom[y] the pairs of its
-    partners a < pos: a = k*y - pos, a = k*pos - y and k*a = pos + y, the
-    same three relations solved for a. A node walks forward when
-    _FORWARD_WEIGHT * (later positions) < pos. Node order, outputs and node
-    counts do not depend on the path; the prune reason a node is counted
-    under can, when a node would be cut for both.
+    A node at any other position walks: it visits the partners a < pos and
+    solves each pair for its third coordinates y > pos, the triples the row
+    would list. Node order, outputs and node counts do not depend on the
+    path; the prune reason a node is counted under can, when a node would
+    be cut for both.
     """
     n, k = inst.n, inst.k
     if max_r is not None and max_r < 1:
@@ -150,14 +145,13 @@ def _iter_canonical(
     work = 0  # the unit of cost the budget is checked by
     span = _ROW_MAX // (math.gcd(k, n) + 2)
     for pos in range(n):
-        ahead = last - pos
-        walk = (ahead if _FORWARD_WEIGHT * ahead < pos else pos) + 1
-        if min(pos, ahead) <= span:
+        side = min(pos, last - pos)
+        if side <= span:
             rows[pos] = row = _partner_row(n, k, sols, pos)
-            work += walk
+            work += side + 1
             cost[pos] = len(row) + 1
         else:
-            cost[pos] = walk
+            cost[pos] = pos + 1
     colors = [-1] * n
     bits = [0] * n  # bits[a] = 1 << colors[a], read by the kept rows
     used_before = [0] * (n + 1)
@@ -237,32 +231,6 @@ def _iter_canonical(
                                         break
                         if pruned:
                             break
-                elif _FORWARD_WEIGHT * (last - pos) < pos:
-                    kp = k * pos
-                    # one pass over the later positions y: each folds in the
-                    # pairs of its differently colored partners a < pos
-                    for y in range(pos + 1, n):
-                        d = dom[y]
-                        nd = d
-                        for a in sols[(pos + y) % n] + ((k * y - pos) % n, (kp - y) % n):
-                            if a < pos:
-                                ca = colors[a]
-                                if ca != col:
-                                    nd &= bit | (1 << ca)
-                        if nd != d:
-                            if not nd:
-                                empty_domain += 1
-                                pruned = True
-                                break
-                            trail.append(y)
-                            trail.append(d)
-                            dom[y] = nd
-                            if d == _ALL:
-                                free -= 1
-                                if free < slack:
-                                    count_bound += 1
-                                    pruned = True
-                                    break
                 else:
                     kp = k * pos
                     # one pass over the differently colored partners a: each

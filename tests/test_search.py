@@ -214,7 +214,7 @@ class TestPinnedCounts:
 
 
 class TestNarrowingPathsAgree:
-    """Kept rows and walks narrow the same domains. At the default _ROW_MAX
+    """Kept rows and the walk narrow the same domains. At the default _ROW_MAX
     most small searches keep every row and never walk, so each path is run
     on its own here: _ROW_MAX = 0 keeps only the rows of the two end
     positions, which narrow nothing, and a huge _ROW_MAX keeps every row."""
@@ -370,18 +370,24 @@ class TestDomainsSettleHardCases:
 
 
 class TestBudgetAndMemory:
-    """The budget covers all the work and memory stays O(n), at n near 2000."""
+    """The budget covers all the work and memory stays O(n), at large n."""
 
-    def test_budget_holds_at_large_n(self):
+    # at n = 100003 the rows kept near the end must be solved from the later
+    # positions: solved from the earlier partners, building them takes about 1 s
+    @pytest.mark.parametrize(
+        "n, budget, bound", [(2003, 0.2, 1.0), (100003, 0.05, 0.5)], ids=["2003", "100003"]
+    )
+    def test_budget_holds_at_large_n(self, n, budget, bound):
         start = time.monotonic()
-        result = rb_oracle(CyclicInstance(2003, 1), SearchConfig(time_budget=0.2))
+        result = rb_oracle(CyclicInstance(n, 1), SearchConfig(time_budget=budget))
         elapsed = time.monotonic() - start
         assert not result.conclusive
-        assert elapsed < 1.0, f"0.2 s budget took {elapsed:.2f} s"
+        assert elapsed < bound, f"{budget} s budget took {elapsed:.2f} s"
 
     def test_budget_holds_for_a_deep_enumeration(self):
         # the enumeration entry point stops on the same budget; in its first
-        # 0.2 s about half of the nodes walk the later positions
+        # 0.2 s it runs about once down the positions, the later ones walking
+        # up to 2002 earlier partners each
         start = time.monotonic()
         stream = iter_rainbow_free_colorings(
             CyclicInstance(2003, 1), min_r=3, cfg=SearchConfig(time_budget=0.2)

@@ -34,7 +34,11 @@ Figures, all for both trees:
   includes building the seed); iter_rainbow_free_colorings(min_r=3) on
   SWEEP_ENUM. Per search: r_max, conclusive, nodes, prunes by reason and
   wall time. The CLI commands in CLI run in a fresh interpreter with their
-  own tree's PYTHONPATH: exit code and wall time.
+  own tree's PYTHONPATH: exit code and wall time;
+- overrun: the wall time of rb_oracle on Z_100003 k=1 under a 0.05 s
+  budget (OVERRUN). The kept rows near the end are built before the first
+  node, so this shows whether building them stays inside the budget at
+  large n. Its node count depends on the clock and is not compared.
 
 Node counts and each witness's route, color count and scan count do not
 depend on the machine or the load. Every difference between the two trees
@@ -92,6 +96,9 @@ SLOW = [(32, 31), (34, 33), (36, 35), (72, 5), (81, 5)]
 # the oracle-sweep workload's instances at seed 23
 SWEEP_RB = [(16, 7), (17, 7), (18, 2), (19, 2), (20, 2), (21, 3)]
 SWEEP_ENUM = [(16, 2), (18, 1), (20, 3), (17, 13)]
+# (n, k, budget): a budgeted search whose row build alone would overrun the
+# budget if its rows were not solved from the shorter side
+OVERRUN = (100003, 1, 0.05)
 # the formula command does almost no work: it times interpreter start, the
 # package's import and the parser
 CLI = [
@@ -406,6 +413,12 @@ def enum_run(t, n: int, k: int) -> dict:
     return {"r_max": r_max, "conclusive": conclusive, "colorings": count}
 
 
+def overrun_run(t) -> dict:
+    n, k, budget = OVERRUN
+    res = t.search.rb_oracle(t.rl.CyclicInstance(n, k), t.search.SearchConfig(time_budget=budget))
+    return {"conclusive": res.conclusive, "nodes": res.detail["nodes_explored"]}
+
+
 def kernel(trees) -> dict:
     def searches(run, instances):
         return {
@@ -424,6 +437,10 @@ def kernel(trees) -> dict:
         t.name: sum(out["rb_oracle"][f"Z_{n} k={k}"][t.name]["nodes"] for n, k in SWEEP_RB)
         + sum(e[t.name]["nodes"] for e in out["enumerate_min_r_3"].values())
         for t in trees
+    }
+    n, k, budget = OVERRUN
+    out["overrun"] = {
+        f"Z_{n} k={k} budget={budget}": entry(trees, overrun_run, 1.0, "wall_s")
     }
     out["cli"] = {
         "rainbow-lab " + " ".join(argv):
