@@ -31,7 +31,6 @@ from .errors import (
 from .formulas import rb_formula, rb_general, rb_schur
 from .modcore import (
     CyclicInstance,
-    Triple,
     is_prime,
     multiplicative_order,
     prime_factorize,

@@ -57,7 +57,9 @@ def parse_certificate(text: str) -> Certificate:
     malformed input and on non-canonical colors (with a normalization hint)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer literal longer than
+        # the interpreter converts; RecursionError, nesting too deep to parse
         raise CertificateError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CertificateError("certificate must be a JSON object")
@@ -92,6 +94,6 @@ def read_certificate(path) -> Certificate:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CertificateError(f"cannot read {path}: {exc}") from exc
     return parse_certificate(text)

@@ -126,7 +126,7 @@ def cmd_witness(args) -> int:
     if rt is not None:
         print(
             f"internal error: witness for ({args.n},{args.k}) [{source}] has "
-            f"rainbow triple {tuple(rt)}; no certificate written",
+            f"rainbow triple {rt}; no certificate written",
             file=sys.stderr,
         )
         return EXIT_RAINBOW
@@ -158,7 +158,7 @@ def cmd_verify(args) -> int:
     if triple is not None:
         cols = tuple(c.colors[x] for x in triple)
         print(
-            f"NOT rainbow-free: triple {tuple(triple)} has colors {cols} "
+            f"NOT rainbow-free: triple {triple} has colors {cols} "
             f"(n={cert.n}, k={cert.k})"
         )
         return EXIT_RAINBOW

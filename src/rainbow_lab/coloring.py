@@ -13,7 +13,7 @@ from operator import itemgetter, ne
 from typing import NamedTuple, Optional
 
 from .errors import InputError
-from .modcore import Triple, _Frozen, _solutions_table, is_prime
+from .modcore import _Frozen, _solutions_table, is_prime
 
 Palette = frozenset[int]
 
@@ -74,8 +74,13 @@ _MASK_MIN_N = 64
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def find_rainbow_triple(c: Coloring, k: int) -> Optional[Triple]:
+def find_rainbow_triple(c: Coloring, k: int) -> Optional[tuple[int, int, int]]:
     """The lexicographically least triple carrying three distinct colors, if any.
+
+    Returned as a plain (x1, x2, x3) tuple: an exact tuple of ints, unlike
+    an instance of a tuple subclass, leaves the cyclic garbage collector at
+    its first collection, so full collections never walk the results a
+    caller keeps.
 
     The equation is symmetric in x1 and x2, and the two carry different
     colors, so the least rainbow triple has x1 < x2. Rows x1 are finished in
@@ -120,7 +125,7 @@ def find_rainbow_triple(c: Coloring, k: int) -> Optional[Triple]:
             for x3 in sols[(x1 + x2) % n]:
                 c3 = cols[x3]
                 if c3 != c1 and c3 != c2:
-                    return tuple.__new__(Triple, (x1, x2, x3))
+                    return (x1, x2, x3)
     if walked == n:
         return None
     # The later rows, each skipped, walked or read off a mask. The walk is
@@ -143,7 +148,7 @@ def find_rainbow_triple(c: Coloring, k: int) -> Optional[Triple]:
                 for x3 in sols[(x1 + x2) % n]:
                     c3 = cols[x3]
                     if c3 != c1 and c3 != c2:
-                        return tuple.__new__(Triple, (x1, x2, x3))
+                        return (x1, x2, x3)
             continue
         if c1 in masks:
             x0, mask = masks[c1]
@@ -160,7 +165,7 @@ def find_rainbow_triple(c: Coloring, k: int) -> Optional[Triple]:
             for x3 in sols[(x1 + x2) % n]:
                 c3 = cols[x3]
                 if c3 != c1 and c3 != c2:
-                    return tuple.__new__(Triple, (x1, x2, x3))
+                    return (x1, x2, x3)
     return None
 
 

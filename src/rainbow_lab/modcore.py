@@ -6,7 +6,6 @@ pure and operate on small immutable values.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
 
 from .errors import InputError
 
@@ -60,12 +59,6 @@ class CyclicInstance(_Frozen):
             raise InputError(f"modulus must be a positive integer, got {n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k % n)
-
-
-class Triple(NamedTuple):
-    x1: int
-    x2: int
-    x3: int
 
 
 @functools.lru_cache(maxsize=1024)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import time
+from itertools import chain
 from typing import Iterator, Optional
 
 from .coloring import Coloring, canonicalize, find_rainbow_triple
@@ -141,17 +142,15 @@ def _iter_canonical(
     # cost[pos]: the work a node at pos adds, entries of its row or
     # positions of its walk, plus one
     rows: list[Optional[tuple]] = [None] * n
-    cost = [0] * n
+    cost = list(range(1, n + 1))
     work = 0  # the unit of cost the budget is checked by
     span = _ROW_MAX // (math.gcd(k, n) + 2)
-    for pos in range(n):
-        side = min(pos, last - pos)
-        if side <= span:
-            rows[pos] = row = _partner_row(n, k, sols, pos)
-            work += side + 1
-            cost[pos] = len(row) + 1
-        else:
-            cost[pos] = pos + 1
+    # the positions with min(pos, last - pos) <= span, in increasing order
+    head = min(span + 1, n)
+    for pos in chain(range(head), range(max(head, last - span), n)):
+        rows[pos] = row = _partner_row(n, k, sols, pos)
+        work += min(pos, last - pos) + 1
+        cost[pos] = len(row) + 1
     colors = [-1] * n
     bits = [0] * n  # bits[a] = 1 << colors[a], read by the kept rows
     used_before = [0] * (n + 1)

@@ -17,12 +17,12 @@ import math
 
 import pytest
 
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from rainbow_lab import CyclicInstance, SearchConfig
 from rainbow_lab.coloring import Coloring, LMCase, LMClassification, residue_palettes
 from rainbow_lab.errors import InputError
-from rainbow_lab.modcore import Triple, is_prime, prime_factorize, solutions_by_sum
+from rainbow_lab.modcore import is_prime, prime_factorize, solutions_by_sum
 from rainbow_lab.search import iter_rainbow_free_colorings
 
 # (n, p) pairs for the prime-coefficient palette/projection suites: n = q*t
@@ -33,6 +33,12 @@ KP_PAIRS = sorted(
     for n in range(4, 22)
     if any(q != p for q, _ in prime_factorize(n))
 )
+
+
+class Triple(NamedTuple):
+    x1: int
+    x2: int
+    x3: int
 
 
 def color_classes(c):

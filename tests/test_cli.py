@@ -243,6 +243,30 @@ class TestWitnessAndVerify:
         assert code == cli.EXIT_INPUT
         assert "invalid certificate" in err
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'{"n": 1, "k": 1, "colors": [0], "meta": {"x": "\xff\xfe"}}',
+            b"[" * 200000,
+            b'{"n": ' + b"1" * 4301 + b', "k": 1, "colors": [0]}',
+        ],
+        ids=["non_utf8", "deep_nesting", "long_integer"],
+    )
+    def test_verify_unreadable_file_exits_2_without_traceback(self, tmp_path, data):
+        # the read or json.loads raises an error other than JSONDecodeError
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        proc = subprocess.run(
+            [sys.executable, "-m", "rainbow_lab.cli", "verify", str(path)],
+            capture_output=True,
+            text=True,
+            env=_env_with_package(),
+            timeout=60,
+        )
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.stderr.startswith("invalid certificate: ")
+        assert proc.returncode == cli.EXIT_INPUT
+
     def test_verify_non_canonical_prints_hint(self, capsys, tmp_path):
         path = tmp_path / "noncanon.json"
         path.write_text(json.dumps({"n": 3, "k": 1, "colors": [1, 0, 0]}))

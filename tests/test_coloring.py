@@ -1,3 +1,4 @@
+import gc
 import itertools
 import pickle
 import random
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    Triple,
     check_symmetry,
     color_classes,
     dilate,
@@ -26,7 +28,7 @@ from rainbow_lab.coloring import (
 )
 from rainbow_lab.constructions import witness_general
 from rainbow_lab.errors import InputError, UnsupportedCaseError
-from rainbow_lab.modcore import CyclicInstance, Triple
+from rainbow_lab.modcore import CyclicInstance
 from rainbow_lab.search import iter_rainbow_free_colorings
 
 
@@ -96,6 +98,29 @@ class TestRainbowDetection:
 
     def test_returns_lexicographically_least_triple(self):
         assert find_rainbow_triple(Coloring(5, (0, 1, 2, 2, 3)), 1) == Triple(1, 3, 4)
+
+    @pytest.mark.parametrize(
+        "recolored, expected",
+        [(None, (1, 3, 4)), (1290, (11, 1290, 0))],
+        ids=["walked_row", "mask_row"],
+    )
+    def test_result_is_a_plain_tuple_the_collector_untracks(self, recolored, expected):
+        # Z_5 finds its triple in a walked row; the k = 1 witness of Z_1301
+        # recolored at 1290 finds it in row 11, read off a mask
+        if recolored is None:
+            c = Coloring(5, (0, 1, 2, 2, 3))
+        else:
+            cols = witness_general(1301, 1).colors
+            c = Coloring(1301, cols[:recolored] + (1,) + cols[recolored + 1:])
+        t = find_rainbow_triple(c, 1)
+        kept = (True, t, False)
+        gc.collect()
+        assert t == expected
+        assert type(t) is tuple
+        # an exact tuple of ints, and a tuple holding only such values, leave
+        # the collector at its first collection; a tuple subclass never does
+        assert not gc.is_tracked(t)
+        assert not gc.is_tracked(kept)
 
     def test_two_colorings_never_rainbow(self):
         for k in range(6):

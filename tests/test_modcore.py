@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import (
+    Triple,
     divisibility_count,
     is_k_periodic_subset,
     is_symmetric_subset,
@@ -9,7 +10,6 @@ from conftest import (
 from rainbow_lab.errors import InputError
 from rainbow_lab.modcore import (
     CyclicInstance,
-    Triple,
     is_prime,
     multiplicative_order,
     prime_factorize,

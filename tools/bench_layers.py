@@ -20,8 +20,11 @@ Figures, all for both trees:
 - checking layer, on the inputs of the benchmark's verify-classify
   workload (4,000 seeded random exact 3-colorings of each of Z_11 and Z_13
   with every k in 1..q-1, 88,000 pairs): classify_3coloring_LM per call by
-  kind of k, and find_rainbow_triple per call; full scans of five long
-  colorings (FULL_SCANS);
+  kind of k, and find_rainbow_triple per call; the crosscheck with its
+  results kept (crosscheck_kept_us_per_pair): one part runs all 88,000
+  pairs through both and keeps every verdict in a list until it ends, as
+  the benchmark does, so the garbage collector's cost for results that
+  stay alive shows; full scans of five long colorings (FULL_SCANS);
 - witness route: cli._construct_witness per call for every n in 2..45 with
   k in {1, 3, 5} and for Z_1009, Z_1301 with k = 1 (the benchmark's
   verify-classify and large-n pairs), its route, color count and the
@@ -248,6 +251,22 @@ def checking(trees) -> dict:
         new = chunks("find_rainbow_triple" if kind == "scan" else "classify_3coloring_LM", pairs)
         where[kind] = range(len(parts), len(parts) + len(new))
         parts += new
+    kept_pairs = {name: [(cs[j], k) for j, k in every] for name, cs in colorings.items()}
+
+    def kept(t):
+        """Every pair through the classifier and the scan, each verdict kept
+        until the part ends; returns the pairs on which the two disagree."""
+        classify, scan = t.rl.classify_3coloring_LM, t.rl.find_rainbow_triple
+        not_rf = t.rl.LMCase.NOT_RAINBOW_FREE_FORM
+        verdicts = []
+        for c, k in kept_pairs[t.name]:
+            free = classify(c, k).case is not not_rf
+            triple = scan(c, k)
+            verdicts.append((free, triple, free == (triple is None)))
+        return sum(not v[2] for v in verdicts)
+
+    where["kept"] = len(parts)
+    parts.append(kept)
     full = {}
     for name, (n, k, recolored) in FULL_SCANS.items():
         scanned = {}
@@ -260,6 +279,10 @@ def checking(trees) -> dict:
         parts.append(lambda t, cs=scanned, k=k: t.rl.find_rainbow_triple(cs[t.name], k))
     times, values = alternate(trees, parts)
 
+    for t in trees:
+        disagree = values[t.name][where["kept"]]
+        if disagree:
+            raise RuntimeError(f"{t.name}: classifier and scan disagree on {disagree} pairs")
     classify = {kind: figure(times, 1e6 / len(kinds[kind]), where[kind]) for kind in kinds}
     classify["all"] = figure(times, 1e6 / len(every), [i for kind in kinds for i in where[kind]])
     full_scan_ms = {}
@@ -273,6 +296,7 @@ def checking(trees) -> dict:
     return {
         "classify_us_per_call": classify,
         "scan_us_per_call_workload_pairs": figure(times, 1e6 / len(every), where["scan"]),
+        "crosscheck_kept_us_per_pair": figure(times, 1e6 / len(every), [where["kept"]]),
         "full_scan_ms": full_scan_ms,
     }
 
