@@ -29,10 +29,14 @@ class Coloring(_Frozen):
         colors = tuple(colors)  # no copy when it is already a tuple
         if len(colors) != n:
             raise InputError(f"expected {n} colors, got {len(colors)}")
-        if min(colors) < 0:
-            raise InputError("color ids must be non-negative")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "colors", colors)
+        try:
+            bytes(colors)  # one C pass; succeeds only if every id is an int in 0..255
+        except (TypeError, ValueError):
+            if min(colors) < 0:
+                raise InputError("color ids must be non-negative") from None
+        set_n, set_colors = self._setters
+        set_n(self, n)
+        set_colors(self, colors)
 
     def num_colors(self) -> int:
         return len(set(self.colors))

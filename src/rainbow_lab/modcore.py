@@ -15,10 +15,18 @@ Factorization = list[tuple[int, int]]
 class _Frozen:
     """Base of the package's immutable value classes, without the import of
     dataclasses. A subclass's fields are its __slots__, set once by its
-    __init__; equality, hash and repr read them in order, as those of a
-    frozen dataclass do, and assignment raises AttributeError."""
+    __init__ through _setters: each slot's descriptor __set__, bound once
+    per class in slot order, so setting a field costs one C call and skips
+    the generic attribute lookup. A subclass without __slots__ inherits its
+    parent's fields and so its setters. Equality, hash and repr read the
+    fields in order, as those of a frozen dataclass do, and assignment
+    raises AttributeError."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))
@@ -57,8 +65,9 @@ class CyclicInstance(_Frozen):
     def __init__(self, n: int, k: int):
         if n < 1:
             raise InputError(f"modulus must be a positive integer, got {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k % n)
+        set_n, set_k = self._setters
+        set_n(self, n)
+        set_k(self, k % n)
 
 
 @functools.lru_cache(maxsize=1024)

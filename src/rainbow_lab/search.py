@@ -50,7 +50,7 @@ class SearchConfig(_Frozen):
             raise InputError(
                 f"time_budget must be a positive finite number, got {time_budget}"
             )
-        object.__setattr__(self, "time_budget", time_budget)
+        self._setters[0](self, time_budget)
 
 
 class _Status:
@@ -324,7 +324,7 @@ def rb_oracle(
         triple = find_rainbow_triple(lower_bound, inst.k)
         if triple is not None:
             raise InputError(
-                f"lower bound has the rainbow triple {tuple(triple)} for k={inst.k}"
+                f"lower bound has the rainbow triple {triple} for k={inst.k}"
             )
         best = canonicalize(lower_bound.colors)
         r_max = seed_r = max(best) + 1

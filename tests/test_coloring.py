@@ -37,9 +37,36 @@ class TestColoring:
         with pytest.raises(InputError, match=r"^expected 3 colors, got 2$"):
             Coloring(3, (0, 1))
 
-    def test_negative_color_rejected(self):
+    @pytest.mark.parametrize(
+        "colors",
+        [(0, -1), (-1,), (0, 300, -1), (0, -256), [0, -1], (0, -0.5)],
+        ids=["minus_one", "alone", "after_300", "minus_256", "list", "float"],
+    )
+    def test_negative_color_rejected(self, colors):
         with pytest.raises(InputError, match=r"^color ids must be non-negative$"):
-            Coloring(2, (0, -1))
+            Coloring(len(colors), colors)
+
+    def test_ids_of_256_and_up_accepted(self):
+        # ids past a byte fail the constructor's bytes() pass and are accepted
+        # by its fallback
+        assert Coloring(2, (0, 300)).colors == (0, 300)
+        w = witness_general(1301, 1301)
+        assert w.num_colors() == 651 and max(w.colors) >= 256
+        assert Coloring(1301, list(w.colors)) == w
+
+    def test_non_integer_id_raises_type_error(self):
+        with pytest.raises(TypeError):
+            Coloring(2, (0, "1"))
+
+    def test_subclass_without_slots_inherits_the_fields(self):
+        class Labelled(Coloring):
+            pass
+
+        c, parent = Labelled(3, [0, 1, 1]), Coloring(3, (0, 1, 1))
+        assert (c.n, c.colors) == (parent.n, parent.colors)
+        assert c._values() == parent._values() and c == Labelled(3, (0, 1, 1))
+        with pytest.raises(AttributeError):
+            c.colors = (1, 0)
 
     @pytest.mark.parametrize("n", (0, -2))
     def test_nonpositive_modulus_rejected(self, n):

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from conftest import (
@@ -36,6 +38,11 @@ class TestCyclicInstance:
             inst.k = 3
         with pytest.raises(AttributeError):
             del inst.n
+
+    def test_pickle_round_trip(self):
+        inst = CyclicInstance(5, 7)
+        back = pickle.loads(pickle.dumps(inst))
+        assert back == inst and back.k == 2 and type(back) is CyclicInstance
 
 
 class TestPrimes:

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import time
 import tracemalloc
 
@@ -42,6 +43,11 @@ class TestSearchConfig:
         assert repr(cfg) == "SearchConfig(time_budget=60.0)"
         with pytest.raises(AttributeError):
             cfg.time_budget = 1.0
+
+    def test_pickle_round_trip(self):
+        cfg = SearchConfig(time_budget=0.25)
+        back = pickle.loads(pickle.dumps(cfg))
+        assert back == cfg and back.time_budget == 0.25 and type(back) is SearchConfig
 
 
 class TestRbResult:

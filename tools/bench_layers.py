@@ -24,7 +24,11 @@ Figures, all for both trees:
   results kept (crosscheck_kept_us_per_pair): one part runs all 88,000
   pairs through both and keeps every verdict in a list until it ends, as
   the benchmark does, so the garbage collector's cost for results that
-  stay alive shows; full scans of five long colorings (FULL_SCANS);
+  stay alive shows; construction (construct_us_per_pair): one part builds
+  the Coloring of every one of the 88,000 pairs and keeps them in a list
+  until it ends, as the benchmark's prepare does, so the collector's cost
+  for them shows; CyclicInstance(q, k) per call on the same pairs; full
+  scans of five long colorings (FULL_SCANS);
 - witness route: cli._construct_witness per call for every n in 2..45 with
   k in {1, 3, 5} and for Z_1009, Z_1301 with k = 1 (the benchmark's
   verify-classify and large-n pairs), its route, color count and the
@@ -41,7 +45,12 @@ Figures, all for both trees:
 - overrun: the wall time of rb_oracle on Z_100003 k=1 under a 0.05 s
   budget (OVERRUN). The kept rows near the end are built before the first
   node, so this shows whether building them stays inside the budget at
-  large n. Its node count depends on the clock and is not compared.
+  large n. Its node count depends on the clock and is not compared;
+- setup: the wall time of rb_oracle on Z_100003 k=1 under a 1e-9 s budget
+  with solutions_by_sum's table cached (SETUP). The search stops at its
+  first clock check, which a fixed number of nodes (85) precedes, so this
+  is the kernel's set-up before the first node plus those nodes. Its node
+  count is compared.
 
 Node counts and each witness's route, color count and scan count do not
 depend on the machine or the load. Every difference between the two trees
@@ -102,6 +111,9 @@ SWEEP_ENUM = [(16, 2), (18, 1), (20, 3), (17, 13)]
 # (n, k, budget): a budgeted search whose row build alone would overrun the
 # budget if its rows were not solved from the shorter side
 OVERRUN = (100003, 1, 0.05)
+# (n, k, budget): a budget every clock check finds spent, so the search
+# stops at its first check
+SETUP = (100003, 1, 1e-9)
 # the formula command does almost no work: it times interpreter start, the
 # package's import and the parser
 CLI = [
@@ -267,6 +279,21 @@ def checking(trees) -> dict:
 
     where["kept"] = len(parts)
     parts.append(kept)
+    qks = [(shapes[j][0], k) for j, k in every]
+
+    def construct(t):
+        """Every pair's Coloring, built as the benchmark's prepare builds
+        them and kept in a list until the part ends."""
+        coloring = t.rl.Coloring
+        return len([(coloring(q, cols), k) for q, cols in shapes for k in range(1, q)])
+
+    def cyclic(t):
+        make = t.rl.CyclicInstance
+        for q, k in qks:
+            make(q, k)
+
+    where["construct"], where["cyclic"] = len(parts), len(parts) + 1
+    parts += [construct, cyclic]
     full = {}
     for name, (n, k, recolored) in FULL_SCANS.items():
         scanned = {}
@@ -297,6 +324,8 @@ def checking(trees) -> dict:
         "classify_us_per_call": classify,
         "scan_us_per_call_workload_pairs": figure(times, 1e6 / len(every), where["scan"]),
         "crosscheck_kept_us_per_pair": figure(times, 1e6 / len(every), [where["kept"]]),
+        "construct_us_per_pair": figure(times, 1e6 / len(every), [where["construct"]]),
+        "cyclic_instance_us_per_call": figure(times, 1e6 / len(every), [where["cyclic"]]),
         "full_scan_ms": full_scan_ms,
     }
 
@@ -437,10 +466,14 @@ def enum_run(t, n: int, k: int) -> dict:
     return {"r_max": r_max, "conclusive": conclusive, "colorings": count}
 
 
-def overrun_run(t) -> dict:
-    n, k, budget = OVERRUN
-    res = t.search.rb_oracle(t.rl.CyclicInstance(n, k), t.search.SearchConfig(time_budget=budget))
-    return {"conclusive": res.conclusive, "nodes": res.detail["nodes_explored"]}
+def budgeted(n: int, k: int, budget: float):
+    """A part that runs rb_oracle on Z_n, k under the budget and returns
+    whether it was conclusive and its nodes."""
+    def part(t):
+        cfg = t.search.SearchConfig(time_budget=budget)
+        res = t.search.rb_oracle(t.rl.CyclicInstance(n, k), cfg)
+        return {"conclusive": res.conclusive, "nodes": res.detail["nodes_explored"]}
+    return part
 
 
 def kernel(trees) -> dict:
@@ -464,7 +497,13 @@ def kernel(trees) -> dict:
     }
     n, k, budget = OVERRUN
     out["overrun"] = {
-        f"Z_{n} k={k} budget={budget}": entry(trees, overrun_run, 1.0, "wall_s")
+        f"Z_{n} k={k} budget={budget}": entry(trees, budgeted(n, k, budget), 1.0, "wall_s")
+    }
+    n, k, budget = SETUP
+    for t in trees:
+        t.rl.modcore.solutions_by_sum(n, k)  # built here, so no round times the table
+    out["setup"] = {
+        f"Z_{n} k={k} budget={budget}": entry(trees, budgeted(n, k, budget), 1e3, "ms")
     }
     out["cli"] = {
         "rainbow-lab " + " ".join(argv):
@@ -475,9 +514,9 @@ def kernel(trees) -> dict:
 
 
 def mismatches(doc: dict) -> list[str]:
-    """One line per plain search whose node count, and per witness whose
-    route, colors or scans, differ between the trees."""
-    checks = [(doc[mode], ("nodes",)) for mode in ("rb_oracle", "enumerate_min_r_3")]
+    """One line per plain search or set-up search whose node count, and per
+    witness whose route, colors or scans, differ between the trees."""
+    checks = [(doc[mode], ("nodes",)) for mode in ("rb_oracle", "enumerate_min_r_3", "setup")]
     checks.append((doc["witness"], ("route", "colors", "scans")))
     return [
         f"{name}: {field} {e['change'][field]}, parent {e['parent'][field]}"
