@@ -6,25 +6,21 @@ non-canonical files with a normalization hint rather than silently renaming.
 from __future__ import annotations
 
 import json
-from typing import Any, NamedTuple
+from typing import Any
 
 from .coloring import Coloring, canonicalize, is_canonical
 from .errors import CertificateError
+from .modcore import _Frozen
 
 
-class _CertificateFields(NamedTuple):
-    n: int
-    k: int
-    colors: tuple[int, ...]
-    meta: dict[str, Any]
+class Certificate(_Frozen):
+    __slots__ = ("n", "k", "colors", "meta")
 
-
-class Certificate(_CertificateFields):
-    __slots__ = ()
-
-    def __new__(cls, n, k, colors, meta=None):
+    def __init__(self, n, k, colors, meta=None):
         # each certificate gets a dict of its own when meta is left out
-        return super().__new__(cls, n, k, colors, {} if meta is None else meta)
+        meta = {} if meta is None else meta
+        for set_field, field in zip(self._setters, (n, k, colors, meta)):
+            set_field(self, field)
 
     def coloring(self) -> Coloring:
         return Coloring(self.n, self.colors)

@@ -213,7 +213,10 @@ def cmd_table(args) -> int:
     return EXIT_INCONCLUSIVE if any_inconclusive else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built at the first call, not at import, because it binds
+    the cmd_* handlers; parse_args keeps no state, so every call shares it."""
     parser = argparse.ArgumentParser(
         prog="rainbow-lab",
         description="Rainbow numbers rb(Z_n, k) for x1 + x2 = k*x3: formulas, "
@@ -262,19 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first main() call and reused after it.
-
-    parse_args keeps no state between calls. It is built at the first call,
-    not at import, because it binds the cmd_* handlers it dispatches to.
-    """
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if "budget_secs" in args:  # a bad budget exits 2 before any work
+            SearchConfig(time_budget=args.budget_secs)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe must fail here, not at exit
         return code

@@ -10,7 +10,7 @@ from collections import Counter
 from enum import Enum
 from itertools import compress, islice, repeat
 from operator import itemgetter, ne
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import InputError
 from .modcore import _Frozen, _solutions_table, is_prime
@@ -55,13 +55,9 @@ def canonicalize(colors) -> tuple[int, ...]:
 
 
 def is_canonical(colors) -> bool:
-    seen = 0
-    for c in colors:
-        if c > seen:
-            return False
-        if c == seen:
-            seen += 1
-    return True
+    """True when canonicalize leaves the colors as they are."""
+    colors = tuple(colors)  # no copy when it is already a tuple
+    return canonicalize(colors) == colors
 
 
 # Rows walked pair by pair before the scan starts counting colors: about 2n/g
@@ -195,9 +191,13 @@ class LMCase(Enum):
     NOT_RAINBOW_FREE_FORM = "not-rainbow-free-form"
 
 
-class LMClassification(NamedTuple):
-    case: LMCase
-    dilation: Optional[int] = None
+class LMClassification(_Frozen):
+    __slots__ = ("case", "dilation")
+
+    def __init__(self, case: LMCase, dilation: Optional[int] = None):
+        set_case, set_dilation = self._setters
+        set_case(self, case)
+        set_dilation(self, dilation)
 
 
 _NOT_RAINBOW_FREE_FORM = LMClassification(LMCase.NOT_RAINBOW_FREE_FORM)

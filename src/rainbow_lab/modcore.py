@@ -13,14 +13,14 @@ Factorization = list[tuple[int, int]]
 
 
 class _Frozen:
-    """Base of the package's immutable value classes, without the import of
-    dataclasses. A subclass's fields are its __slots__, set once by its
-    __init__ through _setters: each slot's descriptor __set__, bound once
-    per class in slot order, so setting a field costs one C call and skips
-    the generic attribute lookup. A subclass without __slots__ inherits its
-    parent's fields and so its setters. Equality, hash and repr read the
-    fields in order, as those of a frozen dataclass do, and assignment
-    raises AttributeError."""
+    """Base of all six of the package's records (CyclicInstance, Coloring,
+    LMClassification, SearchConfig, RbResult, Certificate), without the
+    import of dataclasses. A subclass's fields are its __slots__, set once by
+    its __init__ through _setters: each slot's descriptor __set__, bound once
+    per class in slot order, so setting a field costs one C call. A subclass
+    without __slots__ inherits its parent's fields and setters. Equality,
+    hash and repr read the fields in order, as those of a frozen dataclass
+    do; a record never equals a tuple, and assignment raises AttributeError."""
 
     __slots__ = ()
 

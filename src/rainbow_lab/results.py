@@ -2,10 +2,8 @@
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, NamedTuple, Optional, TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from .coloring import Coloring
+from .modcore import _Frozen
 
 
 class Method(Enum):
@@ -13,15 +11,7 @@ class Method(Enum):
     ORACLE = "oracle"
 
 
-class _RbFields(NamedTuple):
-    value: int
-    method: Method
-    detail: dict[str, Any]
-    conclusive: bool
-    witness: Optional["Coloring"]
-
-
-class RbResult(_RbFields):
+class RbResult(_Frozen):
     """A rainbow-number value plus how it was obtained.
 
     detail carries the per-prime contribution breakdown for formula paths and
@@ -29,9 +19,13 @@ class RbResult(_RbFields):
     budget-exhausted search; the value is then only a lower bound.
     """
 
-    __slots__ = ()
+    __slots__ = ("value", "method", "detail", "conclusive", "witness")
 
-    def __new__(cls, value, method, detail=None, conclusive=True, witness=None):
+    def __init__(self, value, method, detail=None, conclusive=True, witness=None):
+        set_value, set_method, set_detail, set_conclusive, set_witness = self._setters
+        set_value(self, value)
+        set_method(self, method)
         # each result gets a dict of its own when detail is left out
-        detail = {} if detail is None else detail
-        return super().__new__(cls, value, method, detail, conclusive, witness)
+        set_detail(self, {} if detail is None else detail)
+        set_conclusive(self, conclusive)
+        set_witness(self, witness)

@@ -28,6 +28,25 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# the commands that take --budget-secs; OUT stands for the certificate path
+_BUDGET_COMMANDS = {
+    "search": "rb --n 5 --k 1 --method search",
+    "formula": "rb --n 12 --k 1 --method formula",
+    "both": "rb --n 12 --k 1 --method both",
+    "witness": "witness --n 12 --k 1 --out OUT",
+    "table": "table --n-max 1 --k 1",
+}
+
+
+def _budget_cases():
+    for command in _BUDGET_COMMANDS:
+        for budget in ("nan", "inf", "0", "-3"):
+            # rb --method search keeps the ids "nan" and "inf" it had when it
+            # was the only command checked
+            first = command == "search" and budget in ("nan", "inf")
+            yield pytest.param(command, budget, id=budget if first else f"{command}-{budget}")
+
+
 class TestRb:
     def test_both_agree(self, capsys):
         code, out, _ = run(capsys, "rb", "--n", "12", "--k", "1", "--method", "both")
@@ -111,15 +130,17 @@ class TestRb:
             for line in err.splitlines()
         )
 
-    @pytest.mark.parametrize("budget", ("nan", "inf"))
-    def test_non_finite_budget_exits_2(self, capsys, budget):
-        code, out, err = run(
-            capsys, "rb", "--n", "5", "--k", "1", "--method", "search",
-            "--budget-secs", budget,
-        )
+    @pytest.mark.parametrize("command,budget", _budget_cases())
+    def test_non_finite_budget_exits_2(self, capsys, tmp_path, command, budget):
+        # every command that takes --budget-secs rejects a bad one before any
+        # work: no output and no certificate file, even where no search runs
+        path = tmp_path / "w.json"
+        argv = [str(path) if a == "OUT" else a for a in _BUDGET_COMMANDS[command].split()]
+        code, out, err = run(capsys, *argv, "--budget-secs", budget)
         assert code == cli.EXIT_INPUT
-        assert err.startswith("error: time_budget")
+        assert err == f"error: time_budget must be a positive finite number, got {float(budget)}\n"
         assert out == ""
+        assert not path.exists()
 
     def test_formula_route_never_runs_the_search(self, capsys, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -104,6 +104,17 @@ class TestCanonicalForm:
         assert is_canonical((0, 1, 1, 0, 2))
         assert not is_canonical((1, 0, 0))
         assert not is_canonical((0, 2, 1))
+        # ids canonicalize relabels: a negative or fractional id is never canonical
+        assert not is_canonical((-1,))
+        assert not is_canonical((0, -1))
+        assert not is_canonical((0, 0.5))
+
+    @given(st.lists(st.integers(min_value=-3, max_value=6), max_size=12))
+    def test_is_canonical_iff_first_occurrences_count_up(self, colors):
+        # restricted-growth form: the distinct ids, in order of first
+        # occurrence, are 0, 1, 2, ...
+        firsts = list(dict.fromkeys(colors))
+        assert is_canonical(colors) == (firsts == list(range(len(firsts))))
 
     @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=12))
     def test_canonicalize_idempotent_and_canonical(self, colors):

@@ -9,13 +9,53 @@ from conftest import (
     is_symmetric_subset,
     iter_triples,
 )
+from rainbow_lab.certificates import Certificate
+from rainbow_lab.coloring import Coloring, LMCase, LMClassification
 from rainbow_lab.errors import InputError
 from rainbow_lab.modcore import (
     CyclicInstance,
+    _Frozen,
     is_prime,
     multiplicative_order,
     prime_factorize,
 )
+from rainbow_lab.results import Method, RbResult
+from rainbow_lab.search import SearchConfig
+
+
+# each record class: a factory for one instance, and its field names
+_RECORDS = {
+    "CyclicInstance": (lambda: CyclicInstance(5, 7), ("n", "k")),
+    "Coloring": (lambda: Coloring(3, (0, 1, 1)), ("n", "colors")),
+    "LMClassification": (lambda: LMClassification(LMCase.CASE3, 2), ("case", "dilation")),
+    "SearchConfig": (lambda: SearchConfig(5.0), ("time_budget",)),
+    "RbResult": (
+        lambda: RbResult(4, Method.ORACLE, {"nodes_explored": 7}, True, Coloring(3, (0, 1, 1))),
+        ("value", "method", "detail", "conclusive", "witness"),
+    ),
+    "Certificate": (
+        lambda: Certificate(3, 1, (0, 1, 1), {"tool": "rainbow-lab"}),
+        ("n", "k", "colors", "meta"),
+    ),
+}
+
+
+@pytest.mark.parametrize("make,fields", _RECORDS.values(), ids=_RECORDS)
+def test_record_contract(make, fields):
+    # every record is a _Frozen value: equal to a same-valued instance of its
+    # class, never to the tuple of its fields, read-only, and picklable
+    record = make()
+    assert record == make() and not record != make()
+    values = tuple(getattr(record, f) for f in fields)
+    assert record != values and not record == values
+    assert isinstance(record, _Frozen)
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, f, None)
+        with pytest.raises(AttributeError):
+            delattr(record, f)
+    back = pickle.loads(pickle.dumps(record))
+    assert back == record and type(back) is type(record)
 
 
 class TestCyclicInstance:
