@@ -8,7 +8,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from enum import Enum
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from operator import itemgetter, ne
 from typing import Optional
 
@@ -19,7 +19,10 @@ Palette = frozenset[int]
 
 
 class Coloring(_Frozen):
-    """A length-n assignment of small non-negative color ids to Z_n."""
+    """A length-n assignment of small non-negative int color ids to Z_n.
+
+    A bool is an int, and is accepted as the id 0 or 1; any other id that
+    is not an int raises TypeError."""
 
     __slots__ = ("n", "colors")
 
@@ -34,6 +37,8 @@ class Coloring(_Frozen):
         except (TypeError, ValueError):
             if min(colors) < 0:
                 raise InputError("color ids must be non-negative") from None
+            if not all(isinstance(x, int) for x in colors):
+                raise TypeError("color ids must be ints") from None
         set_n, set_colors = self._setters
         set_n(self, n)
         set_colors(self, colors)
@@ -60,10 +65,6 @@ def is_canonical(colors) -> bool:
     return canonicalize(colors) == colors
 
 
-# Rows walked pair by pair before the scan starts counting colors: about 2n/g
-# pairs for g = gcd(k, n), where nearly every coloring that has a rainbow
-# triple shows one.
-_WALK_ROWS = 2
 # When a walked row visits fewer x2 than this, about n/g, every row is walked.
 _MASK_MIN_N = 64
 # A row is read off its mask when c(x1) fills at least 7/8 of the positions
@@ -88,19 +89,21 @@ def find_rainbow_triple(c: Coloring, k: int) -> Optional[tuple[int, int, int]]:
     another color in increasing order and reading x3 from `solutions_by_sum`:
 
     - walk: every x2 > x1 whose sum x1 + x2 has an x3, which are those with
-      g = gcd(k, n) dividing it, skipping those of color c(x1). The first
-      rows (about 2n/g pairs), and every row when n/g < 64, are walked. A
-      row of k = 0 mod n visits one x2, -x1.
+      g = gcd(k, n) dividing it, skipping those of color c(x1). When n/g < 64
+      every row is walked. A row of k = 0 mod n visits one x2, -x1.
     - bits: only the x2 of another color, read off a bit mask of the
       positions after x1 not colored c(x1), whether their sum has an x3 or not.
 
-    For n/g >= 64 the scan then counts, per color, the positions after x1
-    that carry it, so each later row knows how many x2 of another color it
-    has. A row without any is skipped; a row is read off its mask when one
-    read per such x2 is estimated cheaper than its n-1-x1 pair visits,
-    which needs c(x1) to fill 7/8 of the positions after x1. Such a row
-    costs a few operations on an n-bit integer, about n/64 machine words
-    each, per x2 of another color, instead of n-1-x1 pair visits.
+    For n/g >= 64 the scan first counts the positions of each color. With
+    fewer than three colors it returns None: a rainbow triple needs three.
+    Otherwise each row, as it comes, takes its own position off its color's
+    count, so it knows how many x2 of another color it has. A row without
+    any is skipped; a row is read off its mask when one read per such x2 is
+    estimated cheaper than its n-1-x1 pair visits, which needs c(x1) to
+    fill 7/8 of the positions after x1; every other row is walked. A row
+    read off its mask costs a few operations on an n-bit integer, about
+    n/64 machine words each, per x2 of another color, instead of n-1-x1
+    pair visits.
 
     A color's mask is built, with C-level byte operations, at its first row
     that is read bit by bit, and shifted for its later ones. A color that
@@ -115,53 +118,42 @@ def find_rainbow_triple(c: Coloring, k: int) -> Optional[tuple[int, int, int]]:
     # solutions. A walk steps from the first x2 > x1 with g | x1 + x2.
     g = len(sols[0])
     # n // g >= _MASK_MIN_N implies n >= _MASK_MIN_N; a short scan skips the division
-    walked = _WALK_ROWS if n >= _MASK_MIN_N and n // g >= _MASK_MIN_N else n
-    for x1 in range(walked):
+    counted = n >= _MASK_MIN_N and n // g >= _MASK_MIN_N
+    if counted:
+        later = dict(Counter(cols))  # color -> its positions from x1 on
+        if len(later) < 3:
+            return None
+        masks = {}  # color -> (x0, bit i set iff position x0 + 1 + i has another color)
+    for x1 in range(n):
         c1 = cols[x1]
+        if counted:
+            same = later[c1] - 1  # the positions after x1 colored c1
+            later[c1] = same
+            span = n - 1 - x1
+            if same == span:
+                continue  # no x2 of another color
+            if 8 * same >= 7 * span:
+                if c1 in masks:
+                    x0, mask = masks[c1]
+                    todo = mask >> (x1 - x0)  # bit i: x2 = x1 + 1 + i
+                else:
+                    ne_c1 = bytes(map(ne, cols, repeat(c1)))[:x1:-1]
+                    todo = int(ne_c1.translate(_BINARY_DIGITS), 2)
+                    masks[c1] = (x1, todo)
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    x2 = x1 + low.bit_length()
+                    c2 = cols[x2]
+                    for x3 in sols[(x1 + x2) % n]:
+                        c3 = cols[x3]
+                        if c3 != c1 and c3 != c2:
+                            return (x1, x2, x3)
+                continue
         for x2 in range(x1 + 1 + (-2 * x1 - 1) % g, n, g):
             c2 = cols[x2]
             if c1 == c2:
                 continue
-            for x3 in sols[(x1 + x2) % n]:
-                c3 = cols[x3]
-                if c3 != c1 and c3 != c2:
-                    return (x1, x2, x3)
-    if walked == n:
-        return None
-    # The later rows, each skipped, walked or read off a mask. The walk is
-    # repeated rather than shared so that the loop above, where most scans
-    # end, pays no function call.
-    later = dict(Counter(islice(cols, walked, None)))  # color -> its positions after x1
-    masks = {}  # color -> (x0, bit i set iff position x0 + 1 + i has another color)
-    for x1 in range(walked, n):
-        c1 = cols[x1]
-        same = later[c1] - 1
-        later[c1] = same
-        span = n - 1 - x1
-        if same == span:
-            continue  # no x2 of another color
-        if 8 * same < 7 * span:
-            for x2 in range(x1 + 1 + (-2 * x1 - 1) % g, n, g):
-                c2 = cols[x2]
-                if c1 == c2:
-                    continue
-                for x3 in sols[(x1 + x2) % n]:
-                    c3 = cols[x3]
-                    if c3 != c1 and c3 != c2:
-                        return (x1, x2, x3)
-            continue
-        if c1 in masks:
-            x0, mask = masks[c1]
-            todo = mask >> (x1 - x0)  # bit i: x2 = x1 + 1 + i
-        else:
-            ne_c1 = bytes(map(ne, cols, repeat(c1)))[:x1:-1]
-            todo = int(ne_c1.translate(_BINARY_DIGITS), 2)
-            masks[c1] = (x1, todo)
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            x2 = x1 + low.bit_length()
-            c2 = cols[x2]
             for x3 in sols[(x1 + x2) % n]:
                 c3 = cols[x3]
                 if c3 != c1 and c3 != c2:

@@ -26,15 +26,9 @@ from .modcore import is_prime, prime_factorize
 _Z9_WITNESS = (0, 1, 1, 0, 2, 2, 0, 1, 1)
 
 
-def _rainbow_free(c: Coloring, k: int) -> bool:
-    """is_rainbow_free, without the scan when c has at most two colors: a
-    rainbow triple needs three."""
-    return c.num_colors() <= 2 or is_rainbow_free(c, k)
-
-
 def _verified(colors: list[int], n: int, k: int, what: str) -> Coloring:
     c = Coloring(n, tuple(colors))
-    if not _rainbow_free(c, k):
+    if not is_rainbow_free(c, k):
         raise ConstructionError(f"{what} produced a coloring with a rainbow triple")
     return c
 
@@ -88,7 +82,7 @@ def lift_general(base: Coloring, q: int, p: int) -> Coloring:
         raise InputError(f"coefficient {p} is neither 1 nor prime")
     if not is_prime(q) or q == p:
         raise InputError(f"q={q} must be a prime different from p={p}")
-    if not _rainbow_free(base, p):
+    if not is_rainbow_free(base, p):
         raise InputError(f"base coloring is not rainbow-free for k={p}")
     t = base.n
     top = max(base.colors)

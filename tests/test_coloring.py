@@ -2,6 +2,7 @@ import gc
 import itertools
 import pickle
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -57,6 +58,21 @@ class TestColoring:
     def test_non_integer_id_raises_type_error(self):
         with pytest.raises(TypeError):
             Coloring(2, (0, "1"))
+
+    def test_float_id_raises_type_error(self):
+        with pytest.raises(TypeError, match=r"^color ids must be ints$"):
+            Coloring(3, (0, 0.5, 2.5))
+
+    def test_none_id_raises_type_error(self):
+        with pytest.raises(TypeError):
+            Coloring(2, (0, None))
+
+    def test_bool_ids_are_the_ints_0_and_1(self):
+        # a bool is an int: it passes the bytes() pass, and past a byte the
+        # fallback, as 0 or 1
+        c = Coloring(3, (False, True, True))
+        assert c == Coloring(3, (0, 1, 1)) and hash(c) == hash(Coloring(3, (0, 1, 1)))
+        assert Coloring(3, (True, 300, 0)) == Coloring(3, (1, 300, 0))
 
     def test_subclass_without_slots_inherits_the_fields(self):
         class Labelled(Coloring):
@@ -395,8 +411,8 @@ def _witnesses():
 
 class TestScanMatchesPairWalk:
     """The scan against conftest.reference_pair_scan on colorings long
-    enough (n >= 64) that rows after the first two may be read off bit
-    masks."""
+    enough (n >= 64) that the scan counts their colors, so that any row may
+    be skipped or read off a bit mask."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_colorings(self, seed):
@@ -440,7 +456,7 @@ class TestScanMemory:
     read off a mask, and scans of two 250-color colorings of Z_4001 that
     find their rainbow triple in row 2; a 4001-bit mask for each of their
     colors would take over 120 KiB. With k = 1 (g = gcd(k, n) = 1) the scan
-    takes its counts before row 2; with k = 0 (g = n) a walked row visits
+    counts the colors before row 0; with k = 0 (g = n) a walked row visits
     one x2, so every row is walked and no counts are taken."""
 
     @staticmethod
@@ -482,3 +498,19 @@ class TestScanMemory:
         found, peak = self.peak(Coloring(n, tuple(cols)), 1)
         assert found == (2, 17, 19)
         assert peak < 64 * 1024, peak
+
+
+class TestScanTime:
+    """A long coloring with at most two colors ends its scan at the color
+    count: a rainbow triple needs three colors."""
+
+    def test_two_colored_long_coloring_is_not_walked(self):
+        # walked pair by pair, the rows of this alternating coloring visit
+        # about n^2/2 pairs, which takes seconds at n = 10007
+        n = 10007
+        c = Coloring(n, tuple(x % 2 for x in range(n)))
+        start = time.monotonic()
+        found = find_rainbow_triple(c, 1)
+        elapsed = time.monotonic() - start
+        assert found is None
+        assert elapsed < 0.5, f"the scan took {elapsed:.2f} s"

@@ -28,11 +28,12 @@ Figures, all for both trees:
   the Coloring of every one of the 88,000 pairs and keeps them in a list
   until it ends, as the benchmark's prepare does, so the collector's cost
   for them shows; CyclicInstance(q, k) per call on the same pairs; full
-  scans of five long colorings (FULL_SCANS);
+  scans of seven long colorings (FULL_SCANS);
 - witness route: cli._construct_witness per call for every n in 2..45 with
   k in {1, 3, 5} and for Z_1009, Z_1301 with k = 1 (the benchmark's
-  verify-classify and large-n pairs), its route, color count and the
-  find_rainbow_triple calls one witness makes; the per-k sums over n <= 45;
+  verify-classify and large-n pairs), its route, color count, the
+  find_rainbow_triple calls one witness makes and, of those, its scans of
+  colorings with three or more colors; the per-k sums over n <= 45;
   in-process cli.main `witness --out` and `verify` of its file (per round,
   the median over the n <= 45 pairs); `rainbow-lab witness --out` from a
   fresh interpreter for Z_45 and Z_1301;
@@ -86,16 +87,21 @@ BUDGET = 60.0
 QS = (11, 13)
 COLORINGS_PER_Q = 4000
 SEED = 5
-# name -> (n, k, the position recolored to color 1, or None for the witness):
-# the rainbow-free k = 1 witnesses of Z_1009, Z_1301 (3 colors) and Z_1024
-# (11 colors), the 651-color k = 0 witness of Z_1301, and the Z_1301 k = 1
-# witness recolored at 1290, whose least rainbow triple is in row 11
+# name -> (n, k, edit, the least rainbow triple or None): the scanned
+# coloring is edit applied to the colors of witness_general(n, k), or that
+# witness when edit is None. The rainbow-free k = 1 witnesses of Z_1009,
+# Z_1301 (3 colors) and Z_1024 (11 colors); the 651-color k = 0 witness of
+# Z_1301; the Z_1301 k = 1 witness recolored at 1290, whose least rainbow
+# triple is in row 11, and at 500, whose least rainbow triple is in row 1
+# (row 0 of k = 1 has x3 = x2); the alternating 2-coloring of Z_1301
 FULL_SCANS = {
-    "n=1009": (1009, 1, None),
-    "n=1301": (1301, 1, None),
-    "n=1024": (1024, 1, None),
-    "n=1301,k=0": (1301, 1301, None),
-    "n=1301,late": (1301, 1, 1290),
+    "n=1009": (1009, 1, None, None),
+    "n=1301": (1301, 1, None, None),
+    "n=1024": (1024, 1, None, None),
+    "n=1301,k=0": (1301, 1301, None, None),
+    "n=1301,late": (1301, 1, lambda cols: cols[:1290] + (1,) + cols[1291:], (11, 1290, 0)),
+    "n=1301,row1": (1301, 1, lambda cols: cols[:500] + (0,) + cols[501:], (1, 499, 500)),
+    "n=1301,2-color": (1301, 1, lambda cols: tuple(x % 2 for x in range(len(cols))), None),
 }
 
 SMALL = [(n, k) for k in (1, 3, 5) for n in range(2, 46)]
@@ -295,13 +301,11 @@ def checking(trees) -> dict:
     where["construct"], where["cyclic"] = len(parts), len(parts) + 1
     parts += [construct, cyclic]
     full = {}
-    for name, (n, k, recolored) in FULL_SCANS.items():
+    for name, (n, k, edit, _) in FULL_SCANS.items():
         scanned = {}
         for t in trees:
             c = t.rl.witness_general(n, k)
-            if recolored is not None:
-                c = t.rl.Coloring(n, c.colors[:recolored] + (1,) + c.colors[recolored + 1:])
-            scanned[t.name] = c
+            scanned[t.name] = c if edit is None else t.rl.Coloring(n, edit(c.colors))
         full[name] = (len(parts), scanned["change"].num_colors())
         parts.append(lambda t, cs=scanned, k=k: t.rl.find_rainbow_triple(cs[t.name], k))
     times, values = alternate(trees, parts)
@@ -315,7 +319,7 @@ def checking(trees) -> dict:
     full_scan_ms = {}
     for name, (i, colors) in full.items():
         triple = values["change"][i]
-        if (triple is None) != (FULL_SCANS[name][2] is None) or values["parent"][i] != triple:
+        if triple != FULL_SCANS[name][3] or values["parent"][i] != triple:
             raise RuntimeError(f"full scan {name}: parent {values['parent'][i]}, change {triple}")
         full_scan_ms[name] = {"colors": colors, "ms": figure(times, 1e3, [i])}
         if triple is not None:
@@ -331,14 +335,18 @@ def checking(trees) -> dict:
 
 
 def witness_facts(t, n: int, k: int) -> dict:
-    """Route and color count of one witness, and the find_rainbow_triple
-    calls it makes (each a full scan of a rainbow-free coloring)."""
-    scans = 0
+    """Route and color count of one witness, the find_rainbow_triple calls
+    it makes, and its scans: the calls on a coloring with three or more
+    colors, each a full scan of a rainbow-free coloring. Only scans are
+    compared between the trees, since a call on a coloring with at most two
+    colors finds nothing in either."""
+    calls = scans = 0
     real = t.coloring.find_rainbow_triple
 
     def counted(c, kk):
-        nonlocal scans
-        scans += 1
+        nonlocal calls, scans
+        calls += 1
+        scans += len(set(c.colors)) >= 3
         return real(c, kk)
 
     t.coloring.find_rainbow_triple = counted
@@ -346,7 +354,7 @@ def witness_facts(t, n: int, k: int) -> dict:
         w, route = t.cli._construct_witness(n, k, BUDGET)
     finally:
         t.coloring.find_rainbow_triple = real
-    return {"route": route, "colors": w.num_colors(), "scans": scans}
+    return {"route": route, "colors": w.num_colors(), "calls": calls, "scans": scans}
 
 
 def run_main(argv: list[str]):
