@@ -65,7 +65,10 @@ def is_canonical(colors) -> bool:
     return canonicalize(colors) == colors
 
 
-# When a walked row visits fewer x2 than this, about n/g, every row is walked.
+# Below this n, the scan walks the cached list of _short_triples(n, k mod n):
+# at most 1953 triples (n = 63), about 140 KB, and 9.0 MB for the 64 lists a
+# full cache keeps. From it on, rows are walked or read off masks; when a
+# walked row visits fewer x2 than this, about n/g, every row is walked.
 _MASK_MIN_N = 64
 # A row is read off its mask when c(x1) fills at least 7/8 of the positions
 # after x1. Costed in visits to a same-colored pair (about 40 ns on CPython
@@ -73,6 +76,21 @@ _MASK_MIN_N = 64
 # of about 1000 bits 12, so d reads beat a walk of `span` pairs, d of them
 # differently colored, when 12*d <= span + 4*d, that is when d <= span/8.
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+@functools.lru_cache(maxsize=64)
+def _short_triples(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    """Every (x1, x2, x3) with x1 < x2 and k*x3 = x1 + x2 (mod n), in
+    lexicographic order: n(n-1)/2 triples or fewer, 1953 at n = 63. With
+    g = gcd(k, n) = len(sols[0]), x2 steps over the x1 + x2 that g divides."""
+    sols = _solutions_table(n, k)
+    g = len(sols[0])
+    return tuple([
+        (x1, x2, x3)
+        for x1 in range(n)
+        for x2 in range(x1 + 1 + (-2 * x1 - 1) % g, n, g)
+        for x3 in sols[(x1 + x2) % n]
+    ])
 
 
 def find_rainbow_triple(c: Coloring, k: int) -> Optional[tuple[int, int, int]]:
@@ -84,9 +102,21 @@ def find_rainbow_triple(c: Coloring, k: int) -> Optional[tuple[int, int, int]]:
     caller keeps.
 
     The equation is symmetric in x1 and x2, and the two carry different
-    colors, so the least rainbow triple has x1 < x2. Rows x1 are finished in
-    increasing order, each in one of two ways, both visiting the x2 > x1 of
-    another color in increasing order and reading x3 from `solutions_by_sum`:
+    colors, so the least rainbow triple has x1 < x2.
+
+    For n < 64 the scan walks _short_triples(n, k mod n): every triple with
+    x1 < x2, in lexicographic order, built once from `solutions_by_sum`'s
+    table and cached for the last 64 (n, k mod n), so every k of one n
+    fits. The first triple of three colors is returned as it is stored.
+    A list holds at most 1953 triples, at n = 63, about 140 KB; a full cache
+    of lists at n = 63 holds 9.0 MB. A list takes about as long to build as
+    one walk of every pair (Z_45 k = 1: about 94 against 91 us), so a scan
+    that runs once per (n, k) gains nothing from it; repeated scans of one
+    (n, k) skip the per-pair sum, table lookup and loop set-up.
+
+    For n >= 64, rows x1 are finished in increasing order, each in one of
+    two ways, both visiting the x2 > x1 of another color in increasing
+    order and reading x3 from `solutions_by_sum`:
 
     - walk: every x2 > x1 whose sum x1 + x2 has an x3, which are those with
       g = gcd(k, n) dividing it, skipping those of color c(x1). When n/g < 64
@@ -113,12 +143,21 @@ def find_rainbow_triple(c: Coloring, k: int) -> Optional[tuple[int, int, int]]:
     """
     n = c.n
     cols = c.colors
+    if n < _MASK_MIN_N:
+        for triple in _short_triples(n, k % n):
+            x1, x2, x3 = triple
+            c1 = cols[x1]
+            c2 = cols[x2]
+            if c1 != c2:
+                c3 = cols[x3]
+                if c3 != c1 and c3 != c2:
+                    return triple
+        return None
     sols = _solutions_table(n, k % n)  # solutions_by_sum's table, one call less
     # k*x3 = s is solvable iff g = gcd(k, n) divides s; k*x3 = 0 has g
     # solutions. A walk steps from the first x2 > x1 with g | x1 + x2.
     g = len(sols[0])
-    # n // g >= _MASK_MIN_N implies n >= _MASK_MIN_N; a short scan skips the division
-    counted = n >= _MASK_MIN_N and n // g >= _MASK_MIN_N
+    counted = n // g >= _MASK_MIN_N
     if counted:
         later = dict(Counter(cols))  # color -> its positions from x1 on
         if len(later) < 3:

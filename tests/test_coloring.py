@@ -409,10 +409,19 @@ def _witnesses():
     return out
 
 
+def _random_colors(rng, n):
+    # non-contiguous ids, some above 255
+    ids = rng.sample(range(300 if rng.random() < 0.2 else 40), rng.randrange(2, 7))
+    # a dominant color makes rainbow triples rare, so rows reach the masks
+    dominant = rng.choice((0.0, 0.9, 0.97))
+    return tuple(ids[0] if rng.random() < dominant else rng.choice(ids) for _ in range(n))
+
+
 class TestScanMatchesPairWalk:
     """The scan against conftest.reference_pair_scan on colorings long
     enough (n >= 64) that the scan counts their colors, so that any row may
-    be skipped or read off a bit mask."""
+    be skipped or read off a bit mask, and on both sides of n = 64, where
+    the scan switches from walking the cached triple list to its row loop."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_colorings(self, seed):
@@ -421,17 +430,28 @@ class TestScanMatchesPairWalk:
         rng = random.Random(seed)
         for _ in range(100):
             n = rng.randrange(20, 151)
-            # non-contiguous ids, some above 255
-            ids = rng.sample(range(300 if rng.random() < 0.2 else 40), rng.randrange(2, 7))
-            # a dominant color makes rainbow triples rare, so rows reach the masks
-            dominant = rng.choice((0.0, 0.9, 0.97))
-            cols = tuple(
-                ids[0] if rng.random() < dominant else rng.choice(ids) for _ in range(n)
-            )
+            cols = _random_colors(rng, n)
             c = Coloring(n, cols)
             p = next(d for d in range(2, n + 1) if n % d == 0)
             for k in (0, 1, n - 1, p * rng.randrange(1, 4), rng.randrange(n)):
                 assert find_rainbow_triple(c, k) == reference_pair_scan(c, k), (cols, k)
+        # every k, so every gcd shape and every k mod n the triple lists are
+        # cached by, on seeded colorings and on each witness of Z_n with one
+        # position recolored
+        for n in (63, 64):
+            scanned = [_random_colors(rng, n) for _ in range(4)]
+            for k in range(n):
+                try:
+                    cols = list(witness_general(n, k).colors)
+                except (InputError, UnsupportedCaseError):
+                    continue
+                x = rng.randrange(n)
+                cols[x] = rng.choice(sorted(set(cols) - {cols[x]}) + [max(cols) + 1])
+                scanned.append(tuple(cols))
+            for cols in scanned:
+                c = Coloring(n, cols)
+                for k in range(n):
+                    assert find_rainbow_triple(c, k) == reference_pair_scan(c, k), (cols, k)
 
     def test_witnesses_are_rainbow_free(self):
         for w, k in _witnesses():
@@ -457,7 +477,9 @@ class TestScanMemory:
     find their rainbow triple in row 2; a 4001-bit mask for each of their
     colors would take over 120 KiB. With k = 1 (g = gcd(k, n) = 1) the scan
     counts the colors before row 0; with k = 0 (g = n) a walked row visits
-    one x2, so every row is walked and no counts are taken."""
+    one x2, so every row is walked and no counts are taken. For n < 64 the
+    scan walks a cached triple list instead, and the cache holds at most 64
+    lists, 9.0 MB at n = 63."""
 
     @staticmethod
     def peak(c, k):
@@ -498,6 +520,20 @@ class TestScanMemory:
         found, peak = self.peak(Coloring(n, tuple(cols)), 1)
         assert found == (2, 17, 19)
         assert peak < 64 * 1024, peak
+
+    def test_triple_lists_stay_bounded(self):
+        # one list per (n, k mod n) with n < 64 is about 2,000 lists, about
+        # 140 MB if every one were kept
+        tracemalloc.start()
+        try:
+            for n in range(1, 64):
+                c = Coloring(n, (0,) * n)
+                for k in range(n):
+                    assert find_rainbow_triple(c, k) is None
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 12 * 1024 * 1024, held
 
 
 class TestScanTime:

@@ -9,11 +9,13 @@ figure is timed in rounds: each round times both trees, and which tree goes
 first alternates from one part of a round to the next and from one round
 to the next, so load that lasts a while shifts both trees alike. Per-call
 figures are cut into parts of CHUNK calls (a witness part repeats its call
-for about PART_S). Every figure runs PER_CALL_ROUNDS rounds, or fewer once
-its rounds add up to LIMIT_S. For each tree and each figure
-BENCH_layers.json (in this checkout) holds the median and the quartiles
-over the rounds, `ratio` holds the same of the per-round change/parent
-ratio, and `change_lower` counts the rounds in which the change was lower.
+for about PART_S of warm calls; its first call in a round rebuilds what the
+other parts evicted from the package's caches). Every figure runs
+PER_CALL_ROUNDS rounds, or fewer once its rounds add up to LIMIT_S. For
+each tree and each figure BENCH_layers.json (in this checkout) holds the
+median and the quartiles over the rounds, `ratio` holds the same of the
+per-round change/parent ratio, and `change_lower` counts the rounds in
+which the change was lower.
 Stdlib only; the test suite imports no tool.
 
 Figures, all for both trees:
@@ -28,15 +30,20 @@ Figures, all for both trees:
   the Coloring of every one of the 88,000 pairs and keeps them in a list
   until it ends, as the benchmark's prepare does, so the collector's cost
   for them shows; CyclicInstance(q, k) per call on the same pairs; full
-  scans of seven long colorings (FULL_SCANS);
+  scans of nine colorings (FULL_SCANS);
 - witness route: cli._construct_witness per call for every n in 2..45 with
   k in {1, 3, 5} and for Z_1009, Z_1301 with k = 1 (the benchmark's
   verify-classify and large-n pairs), its route, color count, the
   find_rainbow_triple calls one witness makes and, of those, its scans of
   colorings with three or more colors; the per-k sums over n <= 45;
   in-process cli.main `witness --out` and `verify` of its file (per round,
-  the median over the n <= 45 pairs); `rainbow-lab witness --out` from a
-  fresh interpreter for Z_45 and Z_1301;
+  the median over the n <= 45 pairs); the whole certify sequence of the
+  benchmark's verify-classify workload, `witness --out` then `verify` for
+  every n <= 45 pair, run once in a fresh interpreter per round and timed
+  inside it after the package's import (cold_certify_ms): the repeated
+  calls above find the scan's cached triple lists built, and this figure
+  pays their builds once, as a benchmark pass does; `rainbow-lab witness
+  --out` from a fresh interpreter for Z_45 and Z_1301;
 - kernel: rb_oracle on HARD, SLOW and SWEEP_RB, plain, and seeded as
   `rb --method both` seeds it where a construction exists (the time
   includes building the seed); iter_rainbow_free_colorings(min_r=3) on
@@ -93,7 +100,10 @@ SEED = 5
 # Z_1301 (3 colors) and Z_1024 (11 colors); the 651-color k = 0 witness of
 # Z_1301; the Z_1301 k = 1 witness recolored at 1290, whose least rainbow
 # triple is in row 11, and at 500, whose least rainbow triple is in row 1
-# (row 0 of k = 1 has x3 = x2); the alternating 2-coloring of Z_1301
+# (row 0 of k = 1 has x3 = x2); the alternating 2-coloring of Z_1301; two
+# witnesses short enough (n < 64) that the scan walks its cached triple
+# list: the 5-color k = 1 witness of Z_63 and the 2-color k = 3 witness of
+# Z_43
 FULL_SCANS = {
     "n=1009": (1009, 1, None, None),
     "n=1301": (1301, 1, None, None),
@@ -102,11 +112,27 @@ FULL_SCANS = {
     "n=1301,late": (1301, 1, lambda cols: cols[:1290] + (1,) + cols[1291:], (11, 1290, 0)),
     "n=1301,row1": (1301, 1, lambda cols: cols[:500] + (0,) + cols[501:], (1, 499, 500)),
     "n=1301,2-color": (1301, 1, lambda cols: tuple(x % 2 for x in range(len(cols))), None),
+    "n=63": (63, 1, None, None),
+    "n=43,k=3": (43, 3, None, None),
 }
 
 SMALL = [(n, k) for k in (1, 3, 5) for n in range(2, 46)]
 LARGE = [(1009, 1), (1301, 1)]
 FRESH = [(45, 1), (1301, 1)]
+# run in a fresh interpreter with the tree's src first on sys.path and a
+# scratch directory as argv[1]; prints the seconds from the end of the
+# package's import to the end of the last verify
+COLD_CERTIFY = f"""
+import contextlib, os, sys, time
+from rainbow_lab import cli
+t0 = time.perf_counter()
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    for n, k in {SMALL!r}:
+        cert = os.path.join(sys.argv[1], f"{{n}}-{{k}}.json")
+        if cli.main(["witness", "--n", str(n), "--k", str(k), "--out", cert]) or cli.main(["verify", cert]):
+            sys.exit(f"witness or verify failed for n={{n}}, k={{k}}")
+print(time.perf_counter() - t0)
+"""
 
 HARD = [(24, 23), (26, 25), (28, 27), (30, 29), (25, 5), (21, 3)]
 # about 1-15 s each: the searches a sharper bound or a seeded start must speed up
@@ -377,6 +403,21 @@ def fresh(argv: list[str]):
     return part
 
 
+def cold_certify(trees, tmpdir: str) -> dict:
+    """The figure of COLD_CERTIFY's own seconds, one fresh interpreter per
+    tree and round, so interpreter start-up and the import stay outside it."""
+    seconds = {t.name: [] for t in trees}
+
+    def part(t):
+        cmd = [sys.executable, "-c", COLD_CERTIFY, tmpdir]
+        env = dict(os.environ, PYTHONPATH=t.src)
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+        seconds[t.name].append([float(done.stdout)])
+
+    alternate(trees, [part])
+    return figure(seconds, 1e3)
+
+
 def entry(trees, part, scale, key) -> dict:
     """A single-part measurement: each tree's last value, and its figure under key."""
     times, values = alternate(trees, [part])
@@ -389,6 +430,9 @@ def witness(trees) -> dict:
     facts = {t.name: [witness_facts(t, n, k) for n, k in pairs] for t in trees}
     parts, reps = [], []
     for n, k in pairs:
+        # sized on a warm call: a cold one also builds caches, such as the
+        # scan's triple lists, that the repeats find built
+        trees[-1].cli._construct_witness(n, k, BUDGET)
         t0 = time.perf_counter()
         trees[-1].cli._construct_witness(n, k, BUDGET)
         reps.append(max(1, int(PART_S / (time.perf_counter() - t0))))
@@ -422,6 +466,7 @@ def witness(trees) -> dict:
             cmd: figure(times, 1e6, range(j, len(parts), 2), statistics.median)
             for j, cmd in enumerate(("witness", "verify"))
         }
+        out["cold_certify_ms"] = cold_certify(trees, tmpdir)
         fresh_out = os.path.join(tmpdir, "fresh.json")
         out["fresh_witness_out_ms"] = {
             f"n={n},k={k}": entry(
