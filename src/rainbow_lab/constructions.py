@@ -1,6 +1,7 @@
 """Deterministic builders for the lower-bound witness colorings.
 
-Every builder verifies its output rainbow-free before returning and raises
+The private builders return plain color lists; each public builder scans
+the coloring it returns rainbow-free, once, before returning it and raises
 ConstructionError instead of handing back an unverified coloring. Witness
 color counts always equal the matching closed-form rainbow number minus one.
 They are maximum colorings with one known exception, the 3-adic family
@@ -47,8 +48,9 @@ def _q_pattern(q: int, p: int) -> list[int]:
     return [0 if x == 0 else (1 if x in orbit else 2) for x in range(q)]
 
 
-def _prime_power_witness(p: int, alpha: int) -> Coloring:
-    """Maximum coloring of Z_{p^alpha} for k=p, p prime and alpha >= 1.
+def _prime_power_colors(p: int, alpha: int) -> list[int]:
+    """Colors of the maximum coloring of Z_{p^alpha} for k=p, p prime and
+    alpha >= 1, unverified.
 
     p >= 5: color residue classes R_i and R_{p-i} mod p alike, (p+1)/2 colors;
     for alpha = 1 that is c(x) = min(x, p-x), rainbow-free because every
@@ -61,12 +63,23 @@ def _prime_power_witness(p: int, alpha: int) -> Coloring:
         raise UnsupportedCaseError("k = 2 witnesses are outside the constructions")
     n = p**alpha
     if p >= 5:
-        colors = [min(x % p, p - x % p) for x in range(n)]
-    elif alpha == 1:
-        colors = [0, 1, 1]
-    else:
-        colors = [_Z9_WITNESS[x % 9] for x in range(n)]
-    return _verified(colors, n, p, f"_prime_power_witness({p}, {alpha})")
+        return [min(x % p, p - x % p) for x in range(n)]
+    if alpha == 1:
+        return [0, 1, 1]
+    return [_Z9_WITNESS[x % 9] for x in range(n)]
+
+
+def _lift(colors: list[int], q: int, p: int) -> list[int]:
+    """The colors lift_general builds from a base's colors, unverified. The
+    multiples of q hold a copy of the base, so a rainbow base lifts to a
+    rainbow coloring and one scan of the last lift checks every step."""
+    top = max(colors)
+    pattern = _q_pattern(q, p)
+    # fresh ids top + 1 and top + 2 clear any base id; the base then
+    # overwrites the {0} class on the multiples of q
+    lifted = [top + pattern[x % q] for x in range(q * len(colors))]
+    lifted[::q] = colors
+    return lifted
 
 
 def lift_general(base: Coloring, q: int, p: int) -> Coloring:
@@ -76,7 +89,7 @@ def lift_general(base: Coloring, q: int, p: int) -> Coloring:
     Multiples of q inherit the base via x/q; other positions take fresh colors
     by the symmetric maximum pattern of Z_q, one per pattern class beyond {0}:
     rb(Z_q, p) - 2 colors. From the single color of Z_1 the lift is that
-    pattern itself. The pattern is not scanned on its own: the lifted coloring is.
+    pattern itself. The base and the lifted coloring are scanned once each.
     """
     if not (p == 1 or is_prime(p)):
         raise InputError(f"coefficient {p} is neither 1 nor prime")
@@ -85,24 +98,14 @@ def lift_general(base: Coloring, q: int, p: int) -> Coloring:
     if not is_rainbow_free(base, p):
         raise InputError(f"base coloring is not rainbow-free for k={p}")
     t = base.n
-    top = max(base.colors)
-    pattern = _q_pattern(q, p)
-    # fresh ids top + 1 and top + 2 (the pattern's nonzero classes) clear any
-    # base id; its {0} class is never hit because q does not divide x here
-    colors = []
-    for x in range(q * t):
-        if x % q == 0:
-            colors.append(base.colors[x // q])
-        else:
-            colors.append(top + pattern[x % q])
-    return _verified(colors, q * t, p, f"lift_general(t={t}, q={q}, p={p})")
+    return _verified(_lift(list(base.colors), q, p), q * t, p, f"lift_general(t={t}, q={q}, p={p})")
 
 
 def witness_general(n: int, p: int) -> Coloring:
     """Rainbow-free coloring of Z_n for k=p, p = 1 or prime, with
-    rb_general(n, p) - 1 colors: the prime-power witness when p divides n,
-    else the single color of Z_1, lifted over every other prime factor of n
-    in increasing order.
+    rb_general(n, p) - 1 colors: the prime-power colors when p divides n,
+    else the single color of Z_1, lifted by _lift over every other prime
+    factor of n in increasing order. Only the final coloring is scanned.
 
     It is a maximum coloring except on the 3-adic family named in the module
     docstring (9 | n, p does not divide n, p = 2 mod 3 and p != 2 mod 3^v
@@ -110,6 +113,8 @@ def witness_general(n: int, p: int) -> Coloring:
     exhaustive oracle finds, e.g. 3 colors against 4 on Z_9 with p = 5."""
     if n < 2:
         raise InputError(f"requires n >= 2, got {n}")
+    if not (p == 1 or is_prime(p)):
+        raise InputError(f"coefficient {p} is neither 1 nor prime")
     alpha = 0
     rest: list[int] = []
     for prime, exp in prime_factorize(n):
@@ -117,10 +122,9 @@ def witness_general(n: int, p: int) -> Coloring:
             alpha = exp
         else:
             rest.extend([prime] * exp)
-    # alpha >= 1 only when p is a prime factor of n; _prime_power_witness
-    # raises UnsupportedCaseError for p = 2, and lift_general rejects a p that
-    # is neither 1 nor prime
-    c = _prime_power_witness(p, alpha) if alpha else Coloring(1, (0,))
+    # alpha >= 1 only when p is a prime factor of n; _prime_power_colors
+    # raises UnsupportedCaseError for p = 2
+    colors = _prime_power_colors(p, alpha) if alpha else [0]
     for q in rest:
-        c = lift_general(c, q, p)
-    return c
+        colors = _lift(colors, q, p)
+    return _verified(colors, n, p, f"witness_general({n}, {p})")

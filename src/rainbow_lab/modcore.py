@@ -70,22 +70,6 @@ class CyclicInstance(_Frozen):
         set_k(self, k % n)
 
 
-@functools.lru_cache(maxsize=1024)
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def prime_factorize(n: int) -> Factorization:
     """Canonical factorization of n >= 1 as an increasing list of (prime, exponent)."""
     if n < 1:
@@ -103,6 +87,11 @@ def prime_factorize(n: int) -> Factorization:
     if n > 1:
         factors.append((n, 1))
     return factors
+
+
+@functools.lru_cache(maxsize=1024)
+def is_prime(n: int) -> bool:
+    return n >= 2 and prime_factorize(n) == [(n, 1)]
 
 
 def solutions_by_sum(n: int, k: int) -> tuple[tuple[int, ...], ...]:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import rainbow_lab
-from rainbow_lab import cli, formulas, search
+from rainbow_lab import cli, constructions, formulas, search
 from rainbow_lab.certificates import read_certificate
 from rainbow_lab.coloring import Coloring
 from rainbow_lab.errors import InputError
@@ -246,6 +246,20 @@ class TestWitnessAndVerify:
         code, out, err = run(capsys, "witness", "--n", "10", "--k", "1", "--out", str(path))
         assert code == cli.EXIT_INPUT
         assert err == "error: base coloring is not rainbow-free for k=1\n"
+        assert out == ""
+        assert not path.exists()
+
+    def test_witness_construction_error_exits_2(self, capsys, tmp_path, monkeypatch):
+        # a lift that comes out rainbow is an error, not a reason to search
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the witness route ran the oracle")
+
+        monkeypatch.setattr(constructions, "_q_pattern", lambda q, p: list(range(q)))
+        monkeypatch.setattr(cli, "rb_oracle", forbidden)
+        path = tmp_path / "w.json"
+        code, out, err = run(capsys, "witness", "--n", "13", "--k", "1", "--out", str(path))
+        assert code == cli.EXIT_INPUT == 2
+        assert err.startswith("error:") and "rainbow triple" in err
         assert out == ""
         assert not path.exists()
 

@@ -1,11 +1,12 @@
 import pytest
 
 from conftest import check_symmetry, color_classes
+from rainbow_lab import coloring, constructions
 from rainbow_lab.coloring import Coloring, is_rainbow_free
 from rainbow_lab.constructions import lift_general, witness_general
-from rainbow_lab.errors import InputError, UnsupportedCaseError
+from rainbow_lab.errors import ConstructionError, InputError, UnsupportedCaseError
 from rainbow_lab.formulas import rb_general
-from rainbow_lab.modcore import CyclicInstance, is_prime
+from rainbow_lab.modcore import CyclicInstance, is_prime, prime_factorize
 from rainbow_lab.search import SearchConfig, iter_rainbow_free_colorings, rb_oracle
 
 
@@ -183,6 +184,9 @@ class TestLiftGeneral:
             lift_general(Coloring(1, (0,)), 5, p)
         with pytest.raises(InputError, match="neither 1 nor prime"):
             witness_general(10, p)
+        # a composite p whose prime factors all divide n
+        with pytest.raises(InputError, match="neither 1 nor prime"):
+            witness_general(36, 6)
 
     def test_preserves_rainbow_freeness_over_all_small_bases(self):
         # every rainbow-free base of Z_t, t <= 6 (not only the canonical ones)
@@ -215,3 +219,58 @@ class TestWitnessGeneral:
     def test_p_two_unsupported_when_two_divides_n(self):
         with pytest.raises(UnsupportedCaseError):
             witness_general(8, 2)
+
+    @pytest.mark.parametrize("p", (1, 3, 5, 7))
+    def test_matches_the_chain_of_public_lifts(self, p):
+        # the reference chain: the prime-power witness or Z_1, then
+        # lift_general over the other prime factors in increasing order
+        for n in range(2, 65):
+            factors = prime_factorize(n)
+            alpha = dict(factors).get(p, 0)
+            c = witness_general(p**alpha, p) if alpha else Coloring(1, (0,))
+            for q, exp in factors:
+                if q != p:
+                    for _ in range(exp):
+                        c = lift_general(c, q, p)
+            assert witness_general(n, p) == c, (n, p)
+
+
+def _count_scans(monkeypatch):
+    calls = []
+    real = coloring.find_rainbow_triple
+
+    def counted(c, k):
+        calls.append(c.n)
+        return real(c, k)
+
+    monkeypatch.setattr(coloring, "find_rainbow_triple", counted)
+    return calls
+
+
+class TestOneScan:
+    @pytest.mark.parametrize("n, p", [(32, 1), (45, 1), (45, 3), (1009, 1)])
+    def test_witness_general_scans_once(self, monkeypatch, n, p):
+        calls = _count_scans(monkeypatch)
+        witness_general(n, p)
+        assert calls == [n]
+
+    def test_lift_general_scans_base_and_result(self, monkeypatch):
+        calls = _count_scans(monkeypatch)
+        lift_general(Coloring(3, (0, 1, 1)), 7, 3)
+        assert calls == [3, 21]
+
+
+class TestConstructionError:
+    """A builder that produces a rainbow coloring raises ConstructionError."""
+
+    @pytest.fixture(autouse=True)
+    def rainbow_pattern(self, monkeypatch):
+        monkeypatch.setattr(constructions, "_q_pattern", lambda q, p: list(range(q)))
+
+    def test_witness_general(self):
+        with pytest.raises(ConstructionError, match="rainbow triple"):
+            witness_general(13, 1)
+
+    def test_lift_general(self):
+        with pytest.raises(ConstructionError, match="rainbow triple"):
+            lift_general(Coloring(1, (0,)), 13, 1)

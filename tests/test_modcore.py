@@ -89,6 +89,11 @@ class TestPrimes:
     def test_is_prime_small_values(self):
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
         assert {n for n in range(31) if is_prime(n)} == primes
+        sieve = [False, False] + [True] * 1998
+        for d in range(2, 45):
+            if sieve[d]:
+                sieve[d * d :: d] = [False] * len(range(d * d, 2000, d))
+        assert [is_prime(n) for n in range(-5, 2000)] == [False] * 5 + sieve
 
     def test_prime_factorize(self):
         assert prime_factorize(12) == [(2, 2), (3, 1)]
