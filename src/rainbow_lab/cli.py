@@ -137,7 +137,7 @@ def cmd_witness(args) -> int:
         return EXIT_INPUT
     print(
         f"wrote {args.out}: n={cert.n} k={cert.k} "
-        f"colors={len(set(cert.colors))} [{source}]"
+        f"colors={coloring.num_colors()} [{source}]"
     )
     return EXIT_OK
 
@@ -151,7 +151,7 @@ def cmd_verify(args) -> int:
             print(exc.hint, file=sys.stderr)
         return EXIT_INPUT
     c = cert.coloring()
-    r = len(set(cert.colors))
+    r = c.num_colors()
     # a T that does not divide n is an input error, reported before any output
     palettes = [] if args.palettes is None else residue_palettes(c, args.palettes)
     triple = find_rainbow_triple(c, cert.k)

@@ -6,9 +6,10 @@ Llano-Montejano classification of rainbow-free 3-colorings of Z_q.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from collections import Counter
 from enum import Enum
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from operator import itemgetter, ne
 from typing import Optional
 
@@ -67,15 +68,9 @@ def is_canonical(colors) -> bool:
 
 # Below this n, the scan walks the cached list of _short_triples(n, k mod n):
 # at most 1953 triples (n = 63), about 140 KB, and 9.0 MB for the 64 lists a
-# full cache keeps. From it on, rows are walked or read off masks; when a
+# full cache keeps. From it on, rows are finished in one row loop; when a
 # walked row visits fewer x2 than this, about n/g, every row is walked.
-_MASK_MIN_N = 64
-# A row is read off its mask when c(x1) fills at least 7/8 of the positions
-# after x1. Costed in visits to a same-colored pair (about 40 ns on CPython
-# 3.11), a differently colored pair costs 5 and a read of one x2 off a mask
-# of about 1000 bits 12, so d reads beat a walk of `span` pairs, d of them
-# differently colored, when 12*d <= span + 4*d, that is when d <= span/8.
-_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_ROW_LOOP_MIN_N = 64
 
 
 @functools.lru_cache(maxsize=64)
@@ -114,36 +109,31 @@ def find_rainbow_triple(c: Coloring, k: int) -> Optional[tuple[int, int, int]]:
     that runs once per (n, k) gains nothing from it; repeated scans of one
     (n, k) skip the per-pair sum, table lookup and loop set-up.
 
-    For n >= 64, rows x1 are finished in increasing order, each in one of
-    two ways, both visiting the x2 > x1 of another color in increasing
-    order and reading x3 from `solutions_by_sum`:
-
-    - walk: every x2 > x1 whose sum x1 + x2 has an x3, which are those with
-      g = gcd(k, n) dividing it, skipping those of color c(x1). When n/g < 64
-      every row is walked. A row of k = 0 mod n visits one x2, -x1.
-    - bits: only the x2 of another color, read off a bit mask of the
-      positions after x1 not colored c(x1), whether their sum has an x3 or not.
+    For n >= 64, rows x1 are finished in increasing order in one loop: each
+    row visits its x2 > x1 in increasing order, skips those of color c(x1),
+    and reads x3 from `solutions_by_sum`. A walked row visits every x2
+    whose sum x1 + x2 has an x3, which are those with g = gcd(k, n)
+    dividing it. When n/g < 64 every row is walked; a row of k = 0 mod n
+    visits one x2, -x1.
 
     For n/g >= 64 the scan first counts the positions of each color. With
     fewer than three colors it returns None: a rainbow triple needs three.
     Otherwise each row, as it comes, takes its own position off its color's
     count, so it knows how many x2 of another color it has. A row without
-    any is skipped; a row is read off its mask when one read per such x2 is
-    estimated cheaper than its n-1-x1 pair visits, which needs c(x1) to
-    fill 7/8 of the positions after x1; every other row is walked. A row
-    read off its mask costs a few operations on an n-bit integer, about
-    n/64 machine words each, per x2 of another color, instead of n-1-x1
-    pair visits.
+    any is skipped. A row whose color fills at least 7/8 of the positions
+    after x1 is dense: it takes its x2 from a list of the positions after
+    x1 that carry another color, whether their sum has an x3 or not: at
+    most 1/8 of those positions. Every other row is walked.
 
-    A color's mask is built, with C-level byte operations, at its first row
-    that is read bit by bit, and shifted for its later ones. A color that
-    fills 7/8 of the positions after x1 has at most 1/7 of them left over
-    for the colors whose masks are built later, so all masks together take
-    under 7n/6 bits, and the counts one entry per color.
+    A color's list is built, with C-level iterator steps, at its first
+    dense row, and cut at x1 with a binary search for its later ones. A
+    color that fills 7/8 of the positions after x1 leaves at most 1/7 of
+    them to the colors whose lists are built later, so all lists together
+    hold at most 7n/48 positions, and the counts one entry per color.
     """
     n = c.n
     cols = c.colors
-    if n < _MASK_MIN_N:
+    if n < _ROW_LOOP_MIN_N:
         for triple in _short_triples(n, k % n):
             x1, x2, x3 = triple
             c1 = cols[x1]
@@ -157,12 +147,12 @@ def find_rainbow_triple(c: Coloring, k: int) -> Optional[tuple[int, int, int]]:
     # k*x3 = s is solvable iff g = gcd(k, n) divides s; k*x3 = 0 has g
     # solutions. A walk steps from the first x2 > x1 with g | x1 + x2.
     g = len(sols[0])
-    counted = n // g >= _MASK_MIN_N
+    counted = n // g >= _ROW_LOOP_MIN_N
     if counted:
         later = dict(Counter(cols))  # color -> its positions from x1 on
         if len(later) < 3:
             return None
-        masks = {}  # color -> (x0, bit i set iff position x0 + 1 + i has another color)
+        others = {}  # color -> the positions after its first dense row of another color
     for x1 in range(n):
         c1 = cols[x1]
         if counted:
@@ -171,25 +161,21 @@ def find_rainbow_triple(c: Coloring, k: int) -> Optional[tuple[int, int, int]]:
             span = n - 1 - x1
             if same == span:
                 continue  # no x2 of another color
+            # a dense row; the 7/8 bounds memory, not time: all lists
+            # together hold at most n/8 * (1 + 1/7 + 1/49 + ...) = 7n/48
             if 8 * same >= 7 * span:
-                if c1 in masks:
-                    x0, mask = masks[c1]
-                    todo = mask >> (x1 - x0)  # bit i: x2 = x1 + 1 + i
+                xs = others.get(c1)
+                if xs is None:
+                    xs = others[c1] = list(compress(
+                        range(x1 + 1, n), map(ne, islice(cols, x1 + 1, None), repeat(c1))
+                    ))
                 else:
-                    ne_c1 = bytes(map(ne, cols, repeat(c1)))[:x1:-1]
-                    todo = int(ne_c1.translate(_BINARY_DIGITS), 2)
-                    masks[c1] = (x1, todo)
-                while todo:
-                    low = todo & -todo
-                    todo ^= low
-                    x2 = x1 + low.bit_length()
-                    c2 = cols[x2]
-                    for x3 in sols[(x1 + x2) % n]:
-                        c3 = cols[x3]
-                        if c3 != c1 and c3 != c2:
-                            return (x1, x2, x3)
-                continue
-        for x2 in range(x1 + 1 + (-2 * x1 - 1) % g, n, g):
+                    xs = xs[bisect_right(xs, x1):]
+            else:
+                xs = range(x1 + 1 + (-2 * x1 - 1) % g, n, g)
+        else:  # a walk; building its range on dense rows too reads slower
+            xs = range(x1 + 1 + (-2 * x1 - 1) % g, n, g)
+        for x2 in xs:
             c2 = cols[x2]
             if c1 == c2:
                 continue

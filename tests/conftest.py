@@ -273,7 +273,7 @@ def reference_pair_scan(c, k):
     each unordered pair x1 < x2 of different colors in lexicographic order,
     x3 read from the package's solutions table. It is checked against
     reference_rainbow_triple on small n, and it is the reference on the long
-    colorings where the scan finishes rows off bit masks."""
+    colorings where the scan's dense rows take their x2 from lists."""
     n, cols = c.n, c.colors
     sols = solutions_by_sum(n, k)
     for x1 in range(n):

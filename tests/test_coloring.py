@@ -160,7 +160,8 @@ class TestRainbowDetection:
     )
     def test_result_is_a_plain_tuple_the_collector_untracks(self, recolored, expected):
         # Z_5 finds its triple in a walked row; the k = 1 witness of Z_1301
-        # recolored at 1290 finds it in row 11, read off a mask
+        # recolored at 1290 finds it in row 11, a dense row that takes its
+        # x2 from its color's list
         if recolored is None:
             c = Coloring(5, (0, 1, 2, 2, 3))
         else:
@@ -412,7 +413,8 @@ def _witnesses():
 def _random_colors(rng, n):
     # non-contiguous ids, some above 255
     ids = rng.sample(range(300 if rng.random() < 0.2 else 40), rng.randrange(2, 7))
-    # a dominant color makes rainbow triples rare, so rows reach the masks
+    # a dominant color makes rainbow triples rare, so the scan reaches its
+    # dense rows, which take their x2 from a list
     dominant = rng.choice((0.0, 0.9, 0.97))
     return tuple(ids[0] if rng.random() < dominant else rng.choice(ids) for _ in range(n))
 
@@ -420,8 +422,9 @@ def _random_colors(rng, n):
 class TestScanMatchesPairWalk:
     """The scan against conftest.reference_pair_scan on colorings long
     enough (n >= 64) that the scan counts their colors, so that any row may
-    be skipped or read off a bit mask, and on both sides of n = 64, where
-    the scan switches from walking the cached triple list to its row loop."""
+    be skipped or take its x2 from a list of the other colors' positions,
+    and on both sides of n = 64, where the scan switches from walking the
+    cached triple list to its row loop."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_colorings(self, seed):
@@ -453,6 +456,38 @@ class TestScanMatchesPairWalk:
                 for k in range(n):
                     assert find_rainbow_triple(c, k) == reference_pair_scan(c, k), (cols, k)
 
+    @pytest.mark.parametrize("hole", (2, 3))
+    def test_colorings_with_two_dense_colors(self, hole, monkeypatch):
+        # 0 alone in color 2, color 1 on +-[1, 9] except +-hole, color 0
+        # elsewhere: a pair that sums to 0 is x, -x, of one color, so for
+        # k = +-1 no triple through 0 is rainbow and the scan runs to its
+        # end. Color 0 fills 7/8 of the positions after row `hole`, and
+        # color 1 those after row n - 9 (all but n - hole), so the scan
+        # builds one list for each, at those rows
+        from conftest import reference_pair_scan
+
+        built = []
+
+        def islice(*args):
+            built.append(args[1])
+            return itertools.islice(*args)
+
+        monkeypatch.setattr("rainbow_lab.coloring.islice", islice)
+        rng = random.Random(hole)
+        for n in (131, 160, 199, 200):
+            cols = [0] * n
+            cols[0] = 2
+            for x in range(1, 10):
+                if x != hole:
+                    cols[x] = cols[n - x] = 1
+            c = Coloring(n, tuple(cols))
+            p = next(d for d in range(2, n + 1) if n % d == 0)
+            for k in (0, 1, n - 1, p * rng.randrange(1, 4), rng.randrange(n)):
+                built.clear()
+                assert find_rainbow_triple(c, k) == reference_pair_scan(c, k), (n, k)
+                if k in (1, n - 1):
+                    assert built == [hole + 1, n - 8], (n, k)
+
     def test_witnesses_are_rainbow_free(self):
         for w, k in _witnesses():
             assert find_rainbow_triple(w, k) is None, (w.n, k)
@@ -470,16 +505,17 @@ class TestScanMatchesPairWalk:
 
 
 class TestScanMemory:
-    """The scan holds O(n) memory: masks for only the colors that fill 7/8
-    of a row, and one count per color. Each scan allocates under 64 KiB:
-    a full scan of the 3-color k = 1 witness of Z_1301, whose rows are
-    read off a mask, and scans of two 250-color colorings of Z_4001 that
-    find their rainbow triple in row 2; a 4001-bit mask for each of their
-    colors would take over 120 KiB. With k = 1 (g = gcd(k, n) = 1) the scan
-    counts the colors before row 0; with k = 0 (g = n) a walked row visits
-    one x2, so every row is walked and no counts are taken. For n < 64 the
-    scan walks a cached triple list instead, and the cache holds at most 64
-    lists, 9.0 MB at n = 63."""
+    """The scan holds O(n) memory: lists of the other colors' positions
+    for only the colors that fill 7/8 of a row, at most 7n/48 positions in
+    all, and one count per color. Each scan allocates under 64 KiB: a full
+    scan of the 3-color k = 1 witness of Z_1301, whose dense rows take
+    their x2 from a list, and scans of two 250-color colorings of Z_4001
+    that find their rainbow triple in row 2; a list of the other colors'
+    positions for each of their colors would take megabytes. With k = 1
+    (g = gcd(k, n) = 1) the scan counts the colors before row 0; with k = 0
+    (g = n) a walked row visits one x2, so every row is walked and no
+    counts are taken. For n < 64 the scan walks a cached triple list
+    instead, and the cache holds at most 64 lists, 9.0 MB at n = 63."""
 
     @staticmethod
     def peak(c, k):
