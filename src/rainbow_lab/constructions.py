@@ -19,7 +19,7 @@ the rest, and witness_general(n, 1) lifts over every prime factor of n.
 from __future__ import annotations
 
 from .coloring import Coloring, is_rainbow_free
-from .errors import ConstructionError, InputError, UnsupportedCaseError
+from .errors import ConstructionError, InputError
 from .modcore import is_prime, prime_factorize
 
 # The exhaustive oracle's lex-least maximum coloring of Z_9 for k = 3;
@@ -52,21 +52,16 @@ def _prime_power_colors(p: int, alpha: int) -> list[int]:
     """Colors of the maximum coloring of Z_{p^alpha} for k=p, p prime and
     alpha >= 1, unverified.
 
-    p >= 5: color residue classes R_i and R_{p-i} mod p alike, (p+1)/2 colors;
-    for alpha = 1 that is c(x) = min(x, p-x), rainbow-free because every
-    solution of x1 + x2 = p*x3 in Z_p has x2 = -x1.
-    p = 3, alpha = 1: the 2-coloring [0, 1, 1]. p = 3, alpha >= 2: repeat the
-    built-in maximum 3-coloring of Z_9 (the search oracle's witness) through
-    x mod 9.
+    Residue classes R_i and R_{p-i} mod p share a color, p // 2 + 1 colors:
+    parity for p = 2, [0, 1, 1] for Z_3. For alpha = 1 that is
+    c(x) = min(x, p-x), rainbow-free because every solution of
+    x1 + x2 = p*x3 in Z_p has x2 = -x1. p = 3, alpha >= 2: repeat the
+    built-in maximum 3-coloring of Z_9 (the search oracle's witness)
+    through x mod 9.
     """
-    if p == 2:
-        raise UnsupportedCaseError("k = 2 witnesses are outside the constructions")
-    n = p**alpha
-    if p >= 5:
-        return [min(x % p, p - x % p) for x in range(n)]
-    if alpha == 1:
-        return [0, 1, 1]
-    return [_Z9_WITNESS[x % 9] for x in range(n)]
+    if p == 3 and alpha >= 2:
+        return [_Z9_WITNESS[x % 9] for x in range(p**alpha)]
+    return [min(x % p, p - x % p) for x in range(p**alpha)]
 
 
 def _lift(colors: list[int], q: int, p: int) -> list[int]:
@@ -122,8 +117,7 @@ def witness_general(n: int, p: int) -> Coloring:
             alpha = exp
         else:
             rest.extend([prime] * exp)
-    # alpha >= 1 only when p is a prime factor of n; _prime_power_colors
-    # raises UnsupportedCaseError for p = 2
+    # alpha >= 1 only when p is a prime factor of n
     colors = _prime_power_colors(p, alpha) if alpha else [0]
     for q in rest:
         colors = _lift(colors, q, p)

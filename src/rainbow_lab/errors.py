@@ -13,9 +13,7 @@ class UnsupportedCaseError(RainbowLabError):
     """The requested value is outside the implemented formula range.
 
     Raised by rb_formula for (n, k) without a closed form (k mod n neither 1
-    nor a prime, and not 0 with n prime); by rb_general and rb_formula for
-    k = 2 when 2^6 divides n (rb(Z_{2^a}, 2) is built in only for a <= 5);
-    and by witness_general for p = 2 when 2 divides n.
+    nor a prime, and not 0 with n prime).
     """
 
 

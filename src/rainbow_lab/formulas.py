@@ -9,22 +9,15 @@ order of p (rb(Z_q, p) is rb_general(q, p)), and _rb_prime_power,
 rb(Z_{p^a}, p) for a prime p. k = 1 is the unit case of the recursion:
 1 has order 1 in every Z_q^*, so rb(Z_q, 1) is 3 for q in {2, 3} and 4
 otherwise, no prime factor equals 1, and the recursion becomes the Schur
-factorization formula 2 + sum of alpha_i * (rb(Z_{q_i}, 1) - 2). The k = 2
-power-of-two base rb(Z_{2^a}, 2) has no closed form: for a <= 5 it is a
-built-in value the exhaustive oracle certifies, and for larger a
-rb_general raises UnsupportedCaseError. This module reads no file and
-never runs the search: the oracle checks these values, it does not supply
-them.
+factorization formula 2 + sum of alpha_i * (rb(Z_{q_i}, 1) - 2). This
+module reads no file and never runs the search: the oracle checks these
+values, it does not supply them.
 """
 from __future__ import annotations
 
 from .errors import InputError, UnsupportedCaseError
 from .modcore import CyclicInstance, is_prime, multiplicative_order, prime_factorize
 from .results import Method, RbResult
-
-# rb(Z_{2^a}, 2) for a = 1..5, the values the exhaustive oracle gives (a = 5
-# in 0.06 s, 14K nodes; tests/test_formulas.py re-derives every entry).
-_TWO_POWER_RB = {1: 3, 2: 3, 3: 3, 4: 3, 5: 3}
 
 
 def _rb_q(q: int, p: int) -> int:
@@ -36,22 +29,28 @@ def _rb_q(q: int, p: int) -> int:
 
 
 def _rb_prime_power(p: int, alpha: int) -> int:
-    """rb(Z_{p^alpha}, p) for a prime p and alpha >= 1.
+    """rb(Z_{p^alpha}, p) for a prime p and alpha >= 1: 4 for p = 3 with
+    alpha >= 2, else p // 2 + 2. That is 3 for p = 2 and for (3, 1), and
+    (p+1)/2 + 1 for p >= 5.
 
-    3 for (p, alpha) = (3, 1); 4 for p = 3, alpha >= 2; (p+1)/2 + 1 for
-    p >= 5. For p = 2 the built-in oracle-certified value for alpha <= 5;
-    a larger alpha raises UnsupportedCaseError.
+    p = 2 (aw(Z_{2^m}, 3) = 3 of Jungic et al., Combin. Probab. Comput. 12,
+    2003): every triple of x1 + x2 = 2*x3 is a progression (z-d, z+d, z), and
+    a 2-coloring has no rainbow triple, so rb >= 3. For rb <= 3 induct on
+    alpha; Z_2 has two elements. The evens and the odds each satisfy
+    y1 + y2 = 2*y3 mod 2^(alpha-1), so each carries at most 2 colors, sets A
+    and B. If z is even with a color outside B, then c(z-d) = c(z+d) for odd
+    d, so the odds' coloring is invariant under x -> 2z - x; two such
+    reflections compose to a translation by twice their difference. If A
+    and B are disjoint, the odds are invariant under the reflections about
+    every even z, hence under translation by 4 and under x -> -x, which
+    swaps 1 and 3 mod 4: one color, and by symmetry one on the evens. Else
+    3 colors need A = {a, s} and B = {b, s}. The a-positions z are closed
+    under the reflections about the b-positions w, so the odds are
+    invariant under translation by 2(z - (2w - z)) = 4(z-w) with z-w odd,
+    that is by 4; the reflection about z swaps z+1 and z-1, the two odd
+    classes mod 4, so the odds have one color, against B = {b, s}.
     """
-    if p == 2:
-        if alpha not in _TWO_POWER_RB:
-            raise UnsupportedCaseError(
-                f"no closed form for rb(Z_{{2^{alpha}}}, 2): it is known only "
-                f"for exponents up to {max(_TWO_POWER_RB)}"
-            )
-        return _TWO_POWER_RB[alpha]
-    if p == 3:
-        return 3 if alpha == 1 else 4
-    return (p + 1) // 2 + 1
+    return 4 if p == 3 and alpha >= 2 else p // 2 + 2
 
 
 def rb_general(n: int, p: int) -> RbResult:
@@ -59,9 +58,7 @@ def rb_general(n: int, p: int) -> RbResult:
     n = p^alpha * prod q_i^{alpha_i}:
 
     rb(Z_{p^alpha}, p) + sum of alpha_i * (rb(Z_{q_i}, p) - 2), with the
-    alpha = 0 base taken as 2. For p = 1, alpha is always 0. For p = 2 and
-    alpha >= 6 the base has no closed form and this raises
-    UnsupportedCaseError.
+    alpha = 0 base taken as 2. For p = 1, alpha is always 0.
     """
     if not (p == 1 or is_prime(p)):
         raise InputError(f"coefficient {p} is neither 1 nor prime")
@@ -96,9 +93,9 @@ def rb_schur(n: int) -> RbResult:
 def rb_formula(n: int, k: int) -> RbResult:
     """rb(Z_n, k) from the closed forms, the one place that decides which
     (n, k) have one: rb_general(n, k mod n) when k mod n is 1 or a prime,
-    and rb_general(n, n) when k = 0 mod a prime n. Any other coefficient,
-    and k = 2 with 2^6 | n, raises UnsupportedCaseError; detail["p"] names
-    the coefficient the recursion used."""
+    and rb_general(n, n) when k = 0 mod a prime n. Any other coefficient
+    raises UnsupportedCaseError; detail["p"] names the coefficient the
+    recursion used."""
     k_red = CyclicInstance(n, k).k
     if k_red == 1 or is_prime(k_red):
         return rb_general(n, k_red)

@@ -8,10 +8,11 @@ import sys
 import pytest
 
 import rainbow_lab
-from rainbow_lab import cli, constructions, formulas, search
+from rainbow_lab import cli, coloring, constructions, formulas, search
 from rainbow_lab.certificates import read_certificate
 from rainbow_lab.coloring import Coloring
 from rainbow_lab.errors import InputError
+from rainbow_lab.results import Method, RbResult
 
 
 def _env_with_package():
@@ -119,6 +120,18 @@ class TestRb:
         assert code == cli.EXIT_INCONCLUSIVE
         assert "inconclusive" in out
 
+    def test_inconclusive_prints_at_least_the_two_color_bound(self, capsys):
+        # building the Z_100003 tables alone outlasts 1 ms, so the search
+        # stops before it completes a coloring of even one color
+        code, out, _ = run(
+            capsys,
+            "rb", "--n", "100003", "--k", "1", "--method", "search",
+            "--budget-secs", "0.001",
+        )
+        assert code == cli.EXIT_INCONCLUSIVE
+        assert out.startswith("rb(100003,1) >= 3 (search inconclusive: ")
+        assert "every 2-coloring is rainbow-free, so rb >= 3" in out
+
     def test_verbose_logs_prune_counts(self, capsys):
         code, out, err = run(
             capsys, "-v", "rb", "--n", "21", "--k", "3", "--method", "search"
@@ -146,13 +159,16 @@ class TestRb:
         def forbidden(*args, **kwargs):
             raise AssertionError("the formula route ran the search")
 
-        monkeypatch.setattr(search, "rb_oracle", forbidden)
+        monkeypatch.setattr(cli, "rb_oracle", forbidden)
         monkeypatch.setattr(search, "_iter_canonical", forbidden)
-        for a in sorted(formulas._TWO_POWER_RB):
+        for a in range(1, 13):
             assert formulas.rb_general(2**a, 2).value == 3
         code, out, _ = run(capsys, "rb", "--n", "48", "--k", "2", "--method", "formula")
         assert code == cli.EXIT_OK
         assert "rb(48,2) = 4" in out
+        code, out, _ = run(capsys, "rb", "--n", "192", "--k", "2", "--method", "formula")
+        assert code == cli.EXIT_OK
+        assert out.startswith("rb(192,2) = 4 ")
 
 
 class TestWitnessAndVerify:
@@ -187,6 +203,35 @@ class TestWitnessAndVerify:
         assert code == cli.EXIT_OK
         assert "colors=19 [general-lift]" in out
 
+    def test_witness_k_two_is_constructed(self, capsys, tmp_path, monkeypatch):
+        # 2^5 | 96: the parity coloring of Z_32 lifted over 3, no search
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the construction route ran the search")
+
+        monkeypatch.setattr(cli, "rb_oracle", forbidden)
+        path = tmp_path / "w.json"
+        code, out, _ = run(capsys, "witness", "--n", "96", "--k", "2", "--out", str(path))
+        assert code == cli.EXIT_OK
+        assert "colors=3 [general-lift]" in out
+        assert read_certificate(path).meta["construction"] == "general-lift"
+
+    @pytest.mark.parametrize("n,k,source", ((12, 1, "general-lift"), (10, 4, "oracle-search")))
+    def test_witness_scans_once(self, capsys, tmp_path, monkeypatch, n, k, source):
+        calls = []
+        real = coloring.find_rainbow_triple
+
+        def counted(c, k):
+            calls.append(c.n)
+            return real(c, k)
+
+        monkeypatch.setattr(coloring, "find_rainbow_triple", counted)
+        monkeypatch.setattr(cli, "find_rainbow_triple", counted)
+        path = tmp_path / "w.json"
+        code, out, _ = run(capsys, "witness", "--n", str(n), "--k", str(k), "--out", str(path))
+        assert code == cli.EXIT_OK
+        assert f"[{source}]" in out
+        assert calls == [n]
+
     def test_witness_oracle_fallback(self, capsys, tmp_path):
         # k = 4 is composite: no construction applies, the oracle must step in
         path = tmp_path / "w.json"
@@ -208,11 +253,11 @@ class TestWitnessAndVerify:
         assert not path.exists()
 
     def test_witness_inconclusive_oracle_writes_nothing(self, capsys, tmp_path):
-        # k = 2 with 8 | 600 has no construction; 0.01 s lets the oracle
-        # complete colorings of Z_600 but not prove one maximum
+        # k = 4 is composite, so Z_600 has no construction; 0.01 s lets the
+        # oracle complete colorings of Z_600 but not prove one maximum
         path = tmp_path / "w.json"
         code, out, err = run(
-            capsys, "witness", "--n", "600", "--k", "2",
+            capsys, "witness", "--n", "600", "--k", "4",
             "--budget-secs", "0.01", "--out", str(path),
         )
         assert code == cli.EXIT_INCONCLUSIVE
@@ -221,12 +266,15 @@ class TestWitnessAndVerify:
         assert not path.exists()
 
     def test_witness_with_rainbow_triple_is_reported(self, capsys, tmp_path, monkeypatch):
+        # k = 4 is composite, so the witness comes from the oracle, whose
+        # witness is scanned before any file is written
+        broken = Coloring(12, (0, 0, 0, 1) + (2,) * 8)
         monkeypatch.setattr(
-            cli, "_construct_witness",
-            lambda n, k, budget: (Coloring(5, (0, 1, 2, 2, 3)), "broken"),
+            cli, "rb_oracle",
+            lambda inst, cfg: RbResult(3, Method.ORACLE, witness=broken),
         )
         path = tmp_path / "w.json"
-        code, out, err = run(capsys, "witness", "--n", "5", "--k", "1", "--out", str(path))
+        code, out, err = run(capsys, "witness", "--n", "12", "--k", "4", "--out", str(path))
         assert code == cli.EXIT_RAINBOW
         assert err.startswith("internal error:")
         assert "(1, 3, 4)" in err

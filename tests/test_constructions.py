@@ -1,11 +1,11 @@
 import pytest
 
 from conftest import check_symmetry, color_classes
-from rainbow_lab import coloring, constructions
+from rainbow_lab import cli, coloring, constructions
 from rainbow_lab.coloring import Coloring, is_rainbow_free
 from rainbow_lab.constructions import lift_general, witness_general
 from rainbow_lab.errors import ConstructionError, InputError, UnsupportedCaseError
-from rainbow_lab.formulas import rb_general
+from rainbow_lab.formulas import rb_formula, rb_general
 from rainbow_lab.modcore import CyclicInstance, is_prime, prime_factorize
 from rainbow_lab.search import SearchConfig, iter_rainbow_free_colorings, rb_oracle
 
@@ -68,17 +68,14 @@ class TestWitnessKEqualsP:
         assert witness_general(5, 5).colors == (0, 1, 2, 2, 1)
         assert witness_general(7, 7).colors == (0, 1, 2, 3, 3, 2, 1)
         assert witness_general(3, 3).colors == (0, 1, 1)
+        assert witness_general(2, 2).colors == (0, 1)
 
-    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+    @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
     def test_count_and_symmetry(self, p):
         w = witness_general(p, p)
-        assert w.num_colors() == (p + 1) // 2
+        assert w.num_colors() == p // 2 + 1
         assert check_symmetry(w)
         assert is_rainbow_free(w, p)
-
-    def test_rejects_two(self):
-        with pytest.raises(UnsupportedCaseError):
-            witness_general(2, 2)
 
 
 class TestWitnessQP:
@@ -139,9 +136,11 @@ class TestWitnessPrimePower:
         w9 = witness_general(3**2, 3)
         assert w27.colors == tuple(w9.colors[x % 9] for x in range(27))
 
-    def test_p_two_unsupported(self):
-        with pytest.raises(UnsupportedCaseError):
-            witness_general(2**2, 2)
+    def test_p_two_is_parity(self):
+        for a in range(1, 9):
+            w = witness_general(2**a, 2)
+            assert w.colors == tuple(x % 2 for x in range(2**a))
+            assert w.num_colors() == rb_general(2**a, 2).value - 1
 
 
 class TestZ9Certificate:
@@ -216,11 +215,7 @@ class TestWitnessGeneral:
             assert is_rainbow_free(w, p)
             assert w.num_colors() == rb_general(n, p).value - 1, (n, p)
 
-    def test_p_two_unsupported_when_two_divides_n(self):
-        with pytest.raises(UnsupportedCaseError):
-            witness_general(8, 2)
-
-    @pytest.mark.parametrize("p", (1, 3, 5, 7))
+    @pytest.mark.parametrize("p", (1, 2, 3, 5, 7))
     def test_matches_the_chain_of_public_lifts(self, p):
         # the reference chain: the prime-power witness or Z_1, then
         # lift_general over the other prime factors in increasing order
@@ -245,6 +240,34 @@ def _count_scans(monkeypatch):
 
     monkeypatch.setattr(coloring, "find_rainbow_triple", counted)
     return calls
+
+
+class TestEveryClosedFormHasAConstruction:
+    def test_general_lift_wherever_the_formula_answers(self):
+        answered = 0
+        for n in range(2, 121):
+            for k in range(n):
+                try:
+                    value = rb_formula(n, k).value
+                except UnsupportedCaseError:
+                    continue
+                w = cli._general_lift(n, k)
+                assert w is not None and w.num_colors() == value - 1, (n, k)
+                answered += 1
+        assert answered >= 2156  # the loop is not vacuous
+
+    def test_k_two_witnesses_up_to_256(self):
+        for n in range(2, 257):
+            w = witness_general(n, 2)
+            assert is_rainbow_free(w, 2)
+            assert w.num_colors() == rb_general(n, 2).value - 1, n
+
+    def test_k_two_seeded_oracle_matches_formula_up_to_40(self):
+        for n in range(2, 41):
+            seed = witness_general(n, 2)
+            res = rb_oracle(CyclicInstance(n, 2), SearchConfig(time_budget=60.0), seed)
+            assert res.conclusive, n
+            assert res.value == rb_formula(n, 2).value, n
 
 
 class TestOneScan:

@@ -1,6 +1,5 @@
 import pytest
 
-from rainbow_lab import formulas
 from rainbow_lab.errors import InputError, UnsupportedCaseError
 from rainbow_lab.formulas import rb_formula, rb_general, rb_schur
 from rainbow_lab.modcore import CyclicInstance
@@ -73,10 +72,11 @@ class TestRbPrimePower:
         assert rb_general(7, 7).value == 5
 
     def test_p_two_base_is_built_in(self):
-        for a in formulas._TWO_POWER_RB:
-            assert rb_general(2**a, 2).value == formulas._TWO_POWER_RB[a]
-        with pytest.raises(UnsupportedCaseError, match=r"2\^6"):
-            rb_general(2**6, 2)
+        # one value for every exponent
+        for a in range(1, 13):
+            result = rb_general(2**a, 2)
+            assert result.value == 3
+            assert result.detail == {"p": 2, "alpha": a, "base": 3, "terms": []}
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(InputError):
@@ -97,19 +97,17 @@ class TestRbGeneral:
         assert result.detail["base"] == 4
         assert [(t["q"], t["contribution"]) for t in result.detail["terms"]] == [(5, 1)]
 
-    @pytest.mark.parametrize("a", sorted(formulas._TWO_POWER_RB))
+    @pytest.mark.parametrize("a", range(1, 6))
     def test_p_two_table_matches_oracle(self, a):
-        # every built-in rb(Z_{2^a}, 2) value, re-derived by exhaustive search
+        # rb(Z_{2^a}, 2) = 3, re-derived by exhaustive search for a <= 5
         res = rb_oracle(CyclicInstance(2**a, 2))
         assert res.conclusive
         assert rb_general(2**a, 2).value == res.value
 
-    def test_p_two_large_exponent_without_table_errors(self):
-        # 2^6 is past the built-in values: no closed form, for any odd part
-        with pytest.raises(UnsupportedCaseError, match=r"2\^6"):
-            rb_general(64, 2)
-        with pytest.raises(UnsupportedCaseError, match=r"2\^6"):
-            rb_formula(192, 2)
+    def test_p_two_large_exponent_is_closed(self):
+        # 2^6 and past have the same base 3, for any odd part
+        assert rb_general(64, 2).value == 3
+        assert rb_formula(192, 2).value == 4  # 3 + (rb(Z_3, 2) - 2)
 
     def test_rejects_composite_coefficient(self):
         with pytest.raises(InputError):
