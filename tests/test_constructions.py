@@ -68,6 +68,8 @@ class TestWitnessKEqualsP:
         assert witness_general(5, 5).colors == (0, 1, 2, 2, 1)
         assert witness_general(7, 7).colors == (0, 1, 2, 3, 3, 2, 1)
         assert witness_general(3, 3).colors == (0, 1, 1)
+
+    def test_two_is_parity(self):
         assert witness_general(2, 2).colors == (0, 1)
 
     @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
