@@ -45,7 +45,7 @@ def cmd_rb(args) -> int:
     if args.method in ("search", "both"):
         # both: the construction's witness is a verified lower bound, so the
         # oracle only has to refute one color more; search: the plain oracle
-        seed = _general_lift(args.n, args.k) if args.method == "both" else None
+        seed = witness_general(args.n, formula.detail["p"]) if formula else None
         search = rb_oracle(inst, SearchConfig(time_budget=args.budget_secs), seed)
         if seed is not None:
             lower = search.detail["lower_bound_r"]
@@ -179,15 +179,15 @@ def cmd_table(args) -> int:
         # a row without a closed form is search-only, with a blank formula;
         # blank cells are None, which the csv output writes as an empty field
         try:
-            formula_value = rb_formula(n, args.k).value
+            formula = rb_formula(n, args.k)
         except UnsupportedCaseError:
-            formula_value = None
+            formula_value = seed = None
+        else:
+            formula_value, seed = formula.value, witness_general(n, formula.detail["p"])
         # a row with a closed form starts the search at its construction;
         # nodes counts the nodes of that seeded search
         search = rb_oracle(
-            CyclicInstance(n, args.k),
-            SearchConfig(time_budget=args.budget_secs),
-            _general_lift(n, args.k),
+            CyclicInstance(n, args.k), SearchConfig(time_budget=args.budget_secs), seed
         )
         elapsed_ms = round(search.detail["elapsed"] * 1000)
         nodes = search.detail["nodes_explored"]

@@ -14,7 +14,7 @@ from operator import itemgetter, ne
 from typing import Optional
 
 from .errors import InputError
-from .modcore import _Frozen, _solutions_table, is_prime
+from .modcore import _Frozen, is_prime, solutions_by_sum
 
 Palette = frozenset[int]
 
@@ -78,7 +78,7 @@ def _short_triples(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
     """Every (x1, x2, x3) with x1 < x2 and k*x3 = x1 + x2 (mod n), in
     lexicographic order: n(n-1)/2 triples or fewer, 1953 at n = 63. With
     g = gcd(k, n) = len(sols[0]), x2 steps over the x1 + x2 that g divides."""
-    sols = _solutions_table(n, k)
+    sols = solutions_by_sum(n, k)
     g = len(sols[0])
     return tuple([
         (x1, x2, x3)
@@ -114,7 +114,9 @@ def find_rainbow_triple(c: Coloring, k: int) -> Optional[tuple[int, int, int]]:
     and reads x3 from `solutions_by_sum`. A walked row visits every x2
     whose sum x1 + x2 has an x3, which are those with g = gcd(k, n)
     dividing it. When n/g < 64 every row is walked; a row of k = 0 mod n
-    visits one x2, -x1.
+    visits one x2, -x1. Such a scan counts no colors: walks that short
+    cost less than the count, which measured slower on k = 0 mod n and
+    k = n/2 colorings and most of all on scans that stop early.
 
     For n/g >= 64 the scan first counts the positions of each color. With
     fewer than three colors it returns None: a rainbow triple needs three.
@@ -143,7 +145,7 @@ def find_rainbow_triple(c: Coloring, k: int) -> Optional[tuple[int, int, int]]:
                 if c3 != c1 and c3 != c2:
                     return triple
         return None
-    sols = _solutions_table(n, k % n)  # solutions_by_sum's table, one call less
+    sols = solutions_by_sum(n, k % n)
     # k*x3 = s is solvable iff g = gcd(k, n) divides s; k*x3 = 0 has g
     # solutions. A walk steps from the first x2 > x1 with g | x1 + x2.
     g = len(sols[0])

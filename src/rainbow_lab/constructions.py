@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .coloring import Coloring, is_rainbow_free
 from .errors import ConstructionError, InputError
-from .modcore import is_prime, prime_factorize
+from .modcore import split_coefficient
 
 # The exhaustive oracle's lex-least maximum coloring of Z_9 for k = 3;
 # tests/test_constructions.py re-derives it.
@@ -86,9 +86,8 @@ def lift_general(base: Coloring, q: int, p: int) -> Coloring:
     rb(Z_q, p) - 2 colors. From the single color of Z_1 the lift is that
     pattern itself. The base and the lifted coloring are scanned once each.
     """
-    if not (p == 1 or is_prime(p)):
-        raise InputError(f"coefficient {p} is neither 1 nor prime")
-    if not is_prime(q) or q == p:
+    # q is a prime other than p exactly when its split around p is q itself
+    if split_coefficient(q, p)[1] != [(q, 1)]:
         raise InputError(f"q={q} must be a prime different from p={p}")
     if not is_rainbow_free(base, p):
         raise InputError(f"base coloring is not rainbow-free for k={p}")
@@ -106,19 +105,10 @@ def witness_general(n: int, p: int) -> Coloring:
     docstring (9 | n, p does not divide n, p = 2 mod 3 and p != 2 mod 3^v
     with v = v_3(n)), where it is one color short of the maximum the
     exhaustive oracle finds, e.g. 3 colors against 4 on Z_9 with p = 5."""
-    if n < 2:
-        raise InputError(f"requires n >= 2, got {n}")
-    if not (p == 1 or is_prime(p)):
-        raise InputError(f"coefficient {p} is neither 1 nor prime")
-    alpha = 0
-    rest: list[int] = []
-    for prime, exp in prime_factorize(n):
-        if prime == p:
-            alpha = exp
-        else:
-            rest.extend([prime] * exp)
+    alpha, rest = split_coefficient(n, p)
     # alpha >= 1 only when p is a prime factor of n
     colors = _prime_power_colors(p, alpha) if alpha else [0]
-    for q in rest:
-        colors = _lift(colors, q, p)
+    for q, exp in rest:
+        for _ in range(exp):
+            colors = _lift(colors, q, p)
     return _verified(colors, n, p, f"witness_general({n}, {p})")

@@ -12,8 +12,8 @@ class InputError(RainbowLabError, ValueError):
 class UnsupportedCaseError(RainbowLabError):
     """The requested value is outside the implemented formula range.
 
-    Raised by rb_formula for (n, k) without a closed form (k mod n neither 1
-    nor a prime, and not 0 with n prime).
+    Raised by rb_formula for (n, k) without a closed form. Which (n, k) have
+    one is stated once, in rb_formula's docstring.
     """
 
 

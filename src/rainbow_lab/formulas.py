@@ -2,21 +2,20 @@
 
 Two public entry points: rb_general, the recursion for rb(Z_n, p) over the
 prime factorization of n, and rb_formula, the one place that decides which
-(n, k) have a closed form: k mod n equal to 1 or a prime, or 0 with n prime
-(the paper's k = p on Z_p). The recursion's two base cases are private
-helpers: _rb_q, rb(Z_q, p) for a prime modulus q via the multiplicative
-order of p (rb(Z_q, p) is rb_general(q, p)), and _rb_prime_power,
-rb(Z_{p^a}, p) for a prime p. k = 1 is the unit case of the recursion:
-1 has order 1 in every Z_q^*, so rb(Z_q, 1) is 3 for q in {2, 3} and 4
-otherwise, no prime factor equals 1, and the recursion becomes the Schur
-factorization formula 2 + sum of alpha_i * (rb(Z_{q_i}, 1) - 2). This
-module reads no file and never runs the search: the oracle checks these
-values, it does not supply them.
+(n, k) have a closed form; its docstring states the rule. The recursion's
+two base cases are private helpers: _rb_q, rb(Z_q, p) for a prime modulus
+q via the multiplicative order of p (rb(Z_q, p) is rb_general(q, p)), and
+_rb_prime_power, rb(Z_{p^a}, p) for a prime p. k = 1 is the unit case of
+the recursion: 1 has order 1 in every Z_q^*, so rb(Z_q, 1) is 3 for q in
+{2, 3} and 4 otherwise, no prime factor equals 1, and the recursion
+becomes the Schur factorization formula 2 + sum of alpha_i *
+(rb(Z_{q_i}, 1) - 2). This module reads no file and never runs the
+search: the oracle checks these values, it does not supply them.
 """
 from __future__ import annotations
 
-from .errors import InputError, UnsupportedCaseError
-from .modcore import CyclicInstance, is_prime, multiplicative_order, prime_factorize
+from .errors import UnsupportedCaseError
+from .modcore import CyclicInstance, is_prime, multiplicative_order, split_coefficient
 from .results import Method, RbResult
 
 
@@ -60,26 +59,16 @@ def rb_general(n: int, p: int) -> RbResult:
     rb(Z_{p^alpha}, p) + sum of alpha_i * (rb(Z_{q_i}, p) - 2), with the
     alpha = 0 base taken as 2. For p = 1, alpha is always 0.
     """
-    if not (p == 1 or is_prime(p)):
-        raise InputError(f"coefficient {p} is neither 1 nor prime")
-    if n < 2:
-        raise InputError(f"rb(Z_n, p) formula requires n >= 2, got {n}")
-    alpha = 0
+    alpha, rest = split_coefficient(n, p)
+    value = base = _rb_prime_power(p, alpha) if alpha else 2
     terms = []
-    value = 0
-    for prime, exp in prime_factorize(n):
-        if prime == p:
-            alpha = exp
-        else:
-            rb_q = _rb_q(prime, p)
-            contribution = exp * (rb_q - 2)
-            value += contribution
-            terms.append(
-                {"q": prime, "alpha": exp, "rb_q": rb_q, "contribution": contribution}
-            )
-    base = _rb_prime_power(p, alpha) if alpha else 2
+    for q, exp in rest:
+        rb_q = _rb_q(q, p)
+        contribution = exp * (rb_q - 2)
+        value += contribution
+        terms.append({"q": q, "alpha": exp, "rb_q": rb_q, "contribution": contribution})
     return RbResult(
-        value=base + value,
+        value=value,
         method=Method.GENERAL_RECURSION,
         detail={"p": p, "alpha": alpha, "base": base, "terms": terms},
     )
@@ -92,10 +81,10 @@ def rb_schur(n: int) -> RbResult:
 
 def rb_formula(n: int, k: int) -> RbResult:
     """rb(Z_n, k) from the closed forms, the one place that decides which
-    (n, k) have one: rb_general(n, k mod n) when k mod n is 1 or a prime,
-    and rb_general(n, n) when k = 0 mod a prime n. Any other coefficient
-    raises UnsupportedCaseError; detail["p"] names the coefficient the
-    recursion used."""
+    (n, k) have one. The rule: rb_general(n, k mod n) when k mod n is 1 or
+    a prime, and rb_general(n, n) when k = 0 mod a prime n (the paper's
+    k = p on Z_p). Any other (n, k) raises UnsupportedCaseError;
+    detail["p"] names the coefficient the recursion used."""
     k_red = CyclicInstance(n, k).k
     if k_red == 1 or is_prime(k_red):
         return rb_general(n, k_red)

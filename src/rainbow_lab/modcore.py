@@ -94,23 +94,35 @@ def is_prime(n: int) -> bool:
     return n >= 2 and prime_factorize(n) == [(n, 1)]
 
 
+@functools.lru_cache(maxsize=64)
 def solutions_by_sum(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """For each residue s, the increasing tuple of x3 with k*x3 = s (mod n).
 
-    O(n) in size. The tables of the last 64 (n, k mod n) are kept, so repeated
-    rainbow checks and searches on one instance share a single table.
+    O(n) in size. The tables of the last 64 (n, k) are kept and callers pass
+    k mod n, so repeated rainbow checks and searches on one instance share one.
     """
     if n < 1:
         raise InputError(f"modulus must be a positive integer, got {n}")
-    return _solutions_table(n, k % n)
-
-
-@functools.lru_cache(maxsize=64)
-def _solutions_table(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     sols: list[list[int]] = [[] for _ in range(n)]
     for x3 in range(n):
         sols[(k * x3) % n].append(x3)
     return tuple(tuple(s) for s in sols)
+
+
+def split_coefficient(n: int, p: int) -> tuple[int, Factorization]:
+    """(alpha, rest) with n = p**alpha * the product of rest, for n >= 2 and
+    p = 1 or a prime: alpha is p's exponent in n (0 for p = 1), rest the
+    factorization of n's other primes. The closed forms and witnesses use it."""
+    if not (p == 1 or is_prime(p)):
+        raise InputError(f"coefficient {p} is neither 1 nor prime")
+    if n < 2:
+        raise InputError(f"requires n >= 2, got {n}")
+    rest = prime_factorize(n)
+    for i, (q, e) in enumerate(rest):
+        if q == p:
+            del rest[i]
+            return e, rest
+    return 0, rest
 
 
 def multiplicative_order(a: int, q: int) -> int:

@@ -71,7 +71,9 @@ def _partner_row(n: int, k: int, sols, pos: int) -> tuple:
     each with its third coordinates y, deduplicated: ((a, ys), ...) by
     increasing a. Solved from the shorter side, the later positions y when
     fewer of those remain, else the partners a: min(pos, n - 1 - pos) + 1
-    steps."""
+    steps. Both sides stay because a search's first dive reaches the rows
+    near the end at once, where the partners' side alone costs O(n) a row
+    and measured a larger overrun of a short budget at large n."""
     kp = k * pos
     thirds: dict[int, dict[int, None]] = {}
     if n - 1 - pos < pos:
@@ -131,7 +133,9 @@ def _iter_canonical(
     solves each pair for its third coordinates y > pos, the triples the row
     would list. Node order, outputs and node counts do not depend on the
     path; the prune reason a node is counted under can, when a node would
-    be cut for both.
+    be cut for both. The two paths stay separate because one narrowing loop
+    for both, with a generator walk or with dict rows and a branch per
+    partner, measured slower on walk-heavy searches and on the sweeps.
     """
     n, k = inst.n, inst.k
     if max_r is not None and max_r < 1:

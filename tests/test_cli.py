@@ -170,6 +170,20 @@ class TestRb:
         assert code == cli.EXIT_OK
         assert out.startswith("rb(192,2) = 4 ")
 
+    def test_both_calls_the_formula_once(self, capsys, monkeypatch):
+        # the seed is built from the formula's own result, not a second call
+        calls = []
+
+        def counted(n, k):
+            calls.append((n, k))
+            return formulas.rb_formula(n, k)
+
+        monkeypatch.setattr(cli, "rb_formula", counted)
+        code, out, _ = run(capsys, "rb", "--method", "both", "--n", "30", "--k", "29")
+        assert code == cli.EXIT_OK
+        assert out == "rb(30,29) = 6, formula=search\n"
+        assert calls == [(30, 29)]
+
 
 class TestWitnessAndVerify:
     @pytest.mark.parametrize(
@@ -393,6 +407,18 @@ class TestTable:
         doc = json.loads(out)
         assert [row["n"] for row in doc] == [2, 3, 4, 5, 6]
         assert all(row["agree"] == "yes" for row in doc)
+
+    def test_calls_the_formula_once_per_row(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(n, k):
+            calls.append((n, k))
+            return formulas.rb_formula(n, k)
+
+        monkeypatch.setattr(cli, "rb_formula", counted)
+        code, _, _ = run(capsys, "table", "--n-max", "12", "--k", "1")
+        assert code == cli.EXIT_OK
+        assert calls == [(n, 1) for n in range(2, 13)]
 
     def test_includes_z9_k3(self, capsys):
         code, out, _ = run(

@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import pytest
@@ -18,6 +19,7 @@ from rainbow_lab.modcore import (
     is_prime,
     multiplicative_order,
     prime_factorize,
+    split_coefficient,
 )
 from rainbow_lab.results import Method, RbResult
 from rainbow_lab.search import SearchConfig
@@ -103,6 +105,27 @@ class TestPrimes:
     def test_prime_factorize_rejects_zero(self):
         with pytest.raises(InputError):
             prime_factorize(0)
+
+
+class TestSplitCoefficient:
+    def test_splits_n_around_p(self):
+        # p**alpha times rest is n, and rest holds only primes other than p,
+        # so alpha is p's exact exponent in n
+        for n in range(2, 401):
+            for p in (1, 2, 3, 5, 7, 11, 13):
+                alpha, rest = split_coefficient(n, p)
+                assert p**alpha * math.prod(q**e for q, e in rest) == n, (n, p)
+                assert all(is_prime(q) and q != p and e >= 1 for q, e in rest), (n, p)
+                assert [q for q, _ in rest] == sorted({q for q, _ in rest})
+                assert p != 1 or alpha == 0
+
+    def test_rejects_composite_p_and_small_n(self):
+        for p in (0, 4, 6, 9):
+            with pytest.raises(InputError, match="neither 1 nor prime"):
+                split_coefficient(12, p)
+        for n in (0, 1):
+            with pytest.raises(InputError, match="requires n >= 2"):
+                split_coefficient(n, 1)
 
 
 class TestTriples:

@@ -88,6 +88,23 @@ class TestDilation:
                         assert is_rainbow_free(dilate(c, m), k) == rf
 
 
+class TestAffineSymmetry:
+    def test_units_and_translation_map_solutions_to_solutions(self):
+        # x -> u*x + t maps a solution to one of u*(x1 + x2 - k*x3) - (k - 2)t,
+        # so every unit u and every t with (k - 2)t = 0 (mod n) keep the
+        # solution set; the unit dilations and the least such t > 0 generate
+        # that group. The images are looked up among the package's solutions.
+        for n in range(1, 31):
+            units = [u for u in range(n) if math.gcd(u, n) == 1]
+            for k in range(n):
+                t = next(t for t in range(1, n + 1) if (k - 2) * t % n == 0)
+                sols = set(iter_triples(CyclicInstance(n, k)))
+                for x1, x2, x3 in sols:
+                    assert ((x1 + t) % n, (x2 + t) % n, (x3 + t) % n) in sols, (n, k, t)
+                    for u in units:
+                        assert (u * x1 % n, u * x2 % n, u * x3 % n) in sols, (n, k, u)
+
+
 class TestDominance:
     def test_color_of_one_dominant(self, rf_small_all_k):
         for n in range(2, 13):
